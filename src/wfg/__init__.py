@@ -35,14 +35,9 @@ from .complexes import (
 from .exact import (
     AbelianGroup,
     IntegerMatrix,
-    RationalSeries,
     SnfResult,
     abelian_group_from_matrix,
-    binomial_series,
     mobius,
-    one_minus_x_pow,
-    series_log1m,
-    series_mul,
     smith_normal_form,
 )
 from .invariants import (

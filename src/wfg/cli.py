@@ -43,11 +43,13 @@ def parse_input(path: str):
     """Load a complex, cover, or filtration document, detected by shape."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # JSONDecodeError is a ValueError, as are integer literals past
+        # Python's digit limit; deep nesting exhausts the recursion limit.
         raise ParseError(f"{path}: not valid JSON: {err}") from err
     if isinstance(doc, dict) and "stages" in doc:
         return filtration_from_json(doc)
@@ -89,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     lcs.add_argument("--max-n", type=int, default=6, dest="max_n",
                      help="compute R_1..R_N (default 6)")
     lcs.add_argument("--series-order", type=int, default=16, dest="series_order",
-                     help="series truncation order (default 16)")
+                     help="checked against --max-n; does not change the "
+                          "result (default 16)")
     add("vankampen", "check a two-piece cover and compare both presentations")
     filtration = add("filtration", "birth/death events along a filtration")
     filtration.add_argument("--fallback-abelian", action="store_true",

@@ -46,14 +46,6 @@ class NonPositive(PreconditionError):
     """Argument outside its positive / nonnegative domain."""
 
 
-class OrderMismatch(PreconditionError):
-    """Series operands have different truncation orders."""
-
-
-class NonzeroConstantTerm(PreconditionError):
-    """log(1-u) requires u to vanish at 0."""
-
-
 class ConditionFailed(PreconditionError):
     """The exactly-two tree condition fails for some triangle.
 

@@ -1,25 +1,18 @@
-"""Exact integer and rational kernels.
+"""Exact integer kernels.
 
 Everything in this module is arbitrary precision: dense integer matrices
 with Smith normal form, finitely generated abelian groups in invariant
-factor form, the Moebius function, and formal power series truncated at a
-fixed order with ``fractions.Fraction`` coefficients.  No floating point
-appears on any computation path.
+factor form, and the Moebius function.  No floating point appears on any
+computation path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    NonPositive,
-    NonzeroConstantTerm,
-    OrderMismatch,
-    ShapeMismatch,
-)
+from .errors import NonPositive, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -217,19 +210,6 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     )
 
 
-def _prime_factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group: Z^free_rank + Z/d1 + ... + Z/dk
@@ -256,28 +236,16 @@ class AbelianGroup:
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":
         """Direct sum of cyclic groups (order 0 meaning Z), recombined into
-        invariant factors by merging prime-power columns."""
-        rank = 0
-        by_prime: dict[int, list[int]] = {}
-        for m in orders:
-            m = abs(int(m))
-            if m == 0:
-                rank += 1
-            elif m > 1:
-                for p, e in _prime_factorization(m).items():
-                    by_prime.setdefault(p, []).append(e)
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        width = max((len(v) for v in by_prime.values()), default=0)
-        factors = []
-        for col in range(width):
-            d = 1
-            for p, exps in by_prime.items():
-                if col < len(exps):
-                    d *= p ** exps[col]
-            factors.append(d)
-        factors.reverse()
-        return cls(rank, tuple(factors))
+        invariant factors by the gcd/lcm normalization
+        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), applied pairwise so that
+        each order ends up dividing every later one."""
+        orders = [abs(int(m)) for m in orders]
+        finite = [m for m in orders if m != 0]
+        for i in range(len(finite)):
+            for j in range(i + 1, len(finite)):
+                a, b = finite[i], finite[j]
+                finite[i], finite[j] = math.gcd(a, b), math.lcm(a, b)
+        return cls(orders.count(0), tuple(m for m in finite if m != 1))
 
     def __str__(self):
         parts = []
@@ -316,116 +284,3 @@ def mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """Formal power series truncated at x**order, exact rational coefficients."""
-
-    order: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise NonPositive("truncation order must be nonnegative")
-        if len(self.coefficients) != self.order + 1:
-            raise OrderMismatch(
-                f"order {self.order} series needs {self.order + 1} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-
-    @classmethod
-    def constant(cls, value, order: int) -> "RationalSeries":
-        return cls(order, (Fraction(value),) + (Fraction(0),) * order)
-
-    @classmethod
-    def from_coefficients(cls, coeffs, order: int) -> "RationalSeries":
-        """Build a series from leading coefficients, zero-padded to order."""
-        coeffs = [Fraction(c) for c in coeffs][: order + 1]
-        coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        return cls(order, tuple(coeffs))
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
-    def _check(self, other: "RationalSeries"):
-        if self.order != other.order:
-            raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        self._check(other)
-        return RationalSeries(
-            self.order, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        self._check(other)
-        return RationalSeries(
-            self.order, tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries(self.order, tuple(-a for a in self.coefficients))
-
-
-def binomial_series(m: int, order: int) -> RationalSeries:
-    """Expansion of (1-x)^(-m) for m >= 0: coefficient of x^n is C(n+m-1, m-1)."""
-    if m < 0:
-        raise NonPositive(f"binomial_series exponent must be nonnegative, got {m}")
-    if order < 0:
-        raise NonPositive("truncation order must be nonnegative")
-    if m == 0:
-        return RationalSeries.constant(1, order)
-    return RationalSeries(
-        order, tuple(Fraction(math.comb(n + m - 1, m - 1)) for n in range(order + 1))
-    )
-
-
-def one_minus_x_pow(d: int, order: int) -> RationalSeries:
-    """The polynomial (1-x)^d for d >= 0, truncated at the given order."""
-    if d < 0:
-        raise NonPositive(f"exponent must be nonnegative, got {d}")
-    coeffs = [
-        Fraction((-1) ** k * math.comb(d, k)) if k <= d else Fraction(0)
-        for k in range(order + 1)
-    ]
-    return RationalSeries(order, tuple(coeffs))
-
-
-def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    """Truncated Cauchy product."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    n = a.order
-    out = [Fraction(0)] * (n + 1)
-    for i, ca in enumerate(a.coefficients):
-        if ca == 0:
-            continue
-        for j in range(n + 1 - i):
-            cb = b.coefficients[j]
-            if cb != 0:
-                out[i + j] += ca * cb
-    return RationalSeries(n, tuple(out))
-
-
-def series_log1m(u: RationalSeries) -> RationalSeries:
-    """log(1-u) = -sum_{k>=1} u^k / k for a series u with zero constant term.
-
-    Since u has valuation >= 1, u^k has valuation >= k and the sum below is
-    finite at any truncation order.
-    """
-    if u.coefficients[0] != 0:
-        raise NonzeroConstantTerm("log(1-u) requires u(0) = 0")
-    n = u.order
-    out = [Fraction(0)] * (n + 1)
-    power = u
-    for k in range(1, n + 1):
-        for idx, c in enumerate(power.coefficients):
-            if c != 0:
-                out[idx] -= Fraction(c, k)
-        if k < n:
-            power = series_mul(power, u)
-    return RationalSeries(n, tuple(out))

@@ -3,15 +3,13 @@
 Covers the exactly-two classification into a free product of cyclic
 groups, realization of any such product by a weighted wedge of edges,
 abelianization, weighted graph homology (kernel/cokernel of the weighted
-boundary map), and the free ranks of the lower central series quotients
-computed from the generating-function formula with exact rational
-arithmetic.
+boundary map), and the free ranks of the lower central series quotients,
+which the generating-function formula reduces to Witt's necklace count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .complexes import WeightedComplex
@@ -24,18 +22,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroWeightEdge,
 )
-from .exact import (
-    AbelianGroup,
-    IntegerMatrix,
-    RationalSeries,
-    abelian_group_from_matrix,
-    binomial_series,
-    mobius,
-    one_minus_x_pow,
-    series_log1m,
-    series_mul,
-    smith_normal_form,
-)
+from .exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix, mobius
 from .presentation import abelianized_group, present
 
 
@@ -88,7 +75,8 @@ def _failing_triangle(complex: WeightedComplex):
     return None
 
 
-def _triangle_faces(complex: WeightedComplex) -> set[tuple[int, int]]:
+def triangle_faces(complex: WeightedComplex) -> set[tuple[int, int]]:
+    """Every edge that bounds a triangle of the complex."""
     faces = set()
     for a, v, b in complex.triangles:
         faces.update(((a, v), (v, b), (a, b)))
@@ -107,7 +95,7 @@ def classify(complex: WeightedComplex) -> CyclicFactorization:
             triangle=bad,
         )
     tree = set(complex.tree)
-    faces = _triangle_faces(complex)
+    faces = triangle_faces(complex)
     raw = []
     for a, b, w in complex.edges:
         if (a, b) in tree or (a, b) in faces:
@@ -155,9 +143,10 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
         rows[b][j] += w
         rows[a][j] -= w
     boundary = IntegerMatrix.from_rows(rows, n_e)
-    rank = sum(1 for d in smith_normal_form(boundary).diagonal() if d != 0)
-    h1 = AbelianGroup(n_e - rank)
+    # The boundary and its transpose share one Smith diagonal, so the rank
+    # that H1 needs is read off the cokernel H0: rank = n_v - free rank.
     h0 = abelian_group_from_matrix(boundary.transpose(), n_v)
+    h1 = AbelianGroup(n_e - (n_v - h0.free_rank))
     return WeightedHomology(h0=h0, h1=h1)
 
 
@@ -190,53 +179,41 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _log_generating_series(factors: CyclicFactorization, order: int) -> RationalSeries:
-    """log(1 - U(x)) where U is built from the factor counts: with s factors
-    of which the j-th contributes d_j in {0, 1} infinite generators,
-
-        U(x) = 1 + (1-x)^(-m_s) * ((s - 1) - sum_j (1-x)^(d_j)).
-
-    U(0) = 0 always, so the logarithm is defined."""
-    s = len(factors.orders)
-    m_total = factors.free_count
-    acc = RationalSeries.constant(s - 1, order)
-    for m in factors.orders:
-        acc = acc - one_minus_x_pow(1 if m == 0 else 0, order)
-    u = RationalSeries.constant(1, order) + series_mul(binomial_series(m_total, order), acc)
-    return series_log1m(u)
-
-
 def lcs_free_ranks(g: CyclicFactorization, max_n: int, order: int = 16) -> LcsRanks:
-    """R_1 is the number of infinite factors; for n > 1,
+    """Free ranks R_1..R_max_n of the lower-central-series quotients.
 
-        R_n = (1/n) * sum over divisors k of n with k > 1 of
-              mobius(n/k) * k * alpha_k,
+    R_1 is the number m of infinite factors.  For n > 1 the
+    generating-function formula takes, for s factors of which the j-th
+    contributes d_j in {0, 1} infinite generators,
 
-    where alpha_k = -(coefficient of x^k in log(1 - U(x))).  Each rank is
-    checked to be a nonnegative integer before returning."""
+        U(x) = 1 + (1-x)^(-m) * ((s - 1) - sum_j (1-x)^(d_j)),
+        alpha_k = -(coefficient of x^k in log(1 - U(x))),
+        R_n = (1/n) * sum over divisors k > 1 of n of mobius(n/k) * k * alpha_k.
+
+    Every d_j is 0 or 1, so the bracket is (s - 1) - (s - m) - m(1 - x)
+    = m*x - 1 and 1 - U = (1 - m*x) / (1-x)^m.  Then
+    log(1 - U) = log(1 - m*x) - m*log(1 - x) gives alpha_k = (m^k - m)/k.
+    The k = 1 term would be 0, so the sum may run over all divisors, and
+    sum_{k | n} mobius(n/k) = 0 for n > 1 removes the -m part:
+
+        R_n = (1/n) * sum_{k | n} mobius(n/k) * m^k = witt_rank(m, n),
+
+    Witt's necklace count (Magnus, Karrass and Solitar, Combinatorial Group
+    Theory, section 5.6).  The finite orders drop out: the ranks depend
+    only on m.  ``order`` is the truncation order of the series; it is
+    still checked against max_n but does not change the result."""
     if max_n < 1:
         raise NonPositive(f"max_n must be >= 1, got {max_n}")
     if order < max_n:
         raise TruncationTooSmall(f"series order {order} < max_n {max_n}")
-    log_series = _log_generating_series(g, order)
-    alpha = [-c for c in log_series.coefficients]
-    ranks = [g.free_count]
-    for n in range(2, max_n + 1):
-        total = Fraction(0)
-        for k in _divisors(n):
-            if k > 1:
-                total += mobius(n // k) * k * alpha[k]
-        value = total / n
-        if value.denominator != 1 or value < 0:
-            raise NonIntegerRank(f"R_{n} = {value} is not a nonnegative integer")
-        ranks.append(int(value))
-    return LcsRanks(tuple(ranks), max_n)
+    m = g.free_count
+    return LcsRanks(tuple(witt_rank(m, n) for n in range(1, max_n + 1)), max_n)
 
 
 def witt_rank(m: int, n: int) -> int:
     """Necklace count (1/n) sum_{d | n} mobius(d) m^(n/d): the free rank of
-    the n-th lower-central quotient of a free group of rank m.  Independent
-    oracle for lcs_free_ranks on all-free inputs."""
+    the n-th lower-central quotient of a free group of rank m, and so of any
+    free product of cyclic groups with m infinite factors."""
     if n < 1:
         raise NonPositive(f"witt_rank needs n >= 1, got {n}")
     if m < 0:

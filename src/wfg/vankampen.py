@@ -34,6 +34,7 @@ from .invariants import (
     classify,
     normalize_factorization,
     satisfies_exactly_two,
+    triangle_faces,
 )
 from .presentation import (
     Presentation,
@@ -238,9 +239,7 @@ def _cover_factorization(spec: CoverSpec) -> CyclicFactorization:
     when the edge bounds a triangle of L and an infinite factor otherwise."""
     classes = _generator_classes(spec)
     weight = spec.L.weight_of
-    faces = set()
-    for a, v, b in spec.L.triangles:
-        faces.update(((a, v), (v, b), (a, b)))
+    faces = triangle_faces(spec.L)
     raw = []
     for name in ("A0", "K1_tree_new", "K2_tree_new"):
         raw.extend(weight[e] for e in classes[name])

@@ -5,7 +5,10 @@ checkers run at full scale by the acceptance suite."""
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from wfg import (
@@ -47,6 +50,152 @@ def mobius_oracle(n: int) -> int:
                 m //= p
         p += 1
     return (-1) ** count
+
+
+# ---------------------------------------------------------------------------
+# Truncated rational power series: the oracle for the LCS ranks.  The
+# library reads the ranks off Witt's necklace formula; this evaluates the
+# generating function literally, with exact Fraction coefficients.
+
+class OrderMismatch(ValueError):
+    """Series operands have different truncation orders."""
+
+
+class NonzeroConstantTerm(ValueError):
+    """log(1-u) requires u to vanish at 0."""
+
+
+@dataclass(frozen=True)
+class RationalSeries:
+    """Formal power series truncated at x**order, exact rational coefficients."""
+
+    order: int
+    coefficients: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        if len(self.coefficients) != self.order + 1:
+            raise OrderMismatch(
+                f"order {self.order} series needs {self.order + 1} coefficients, "
+                f"got {len(self.coefficients)}"
+            )
+        object.__setattr__(
+            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
+        )
+
+    @classmethod
+    def constant(cls, value, order: int) -> "RationalSeries":
+        return cls(order, (Fraction(value),) + (Fraction(0),) * order)
+
+    @classmethod
+    def from_coefficients(cls, coeffs, order: int) -> "RationalSeries":
+        """Build a series from leading coefficients, zero-padded to order."""
+        coeffs = [Fraction(c) for c in coeffs][: order + 1]
+        coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
+        return cls(order, tuple(coeffs))
+
+    def _check(self, other: "RationalSeries"):
+        if self.order != other.order:
+            raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
+
+    def __add__(self, other: "RationalSeries") -> "RationalSeries":
+        self._check(other)
+        return RationalSeries(
+            self.order, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
+        )
+
+    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
+        self._check(other)
+        return RationalSeries(
+            self.order, tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
+        )
+
+    def __neg__(self) -> "RationalSeries":
+        return RationalSeries(self.order, tuple(-a for a in self.coefficients))
+
+
+def binomial_series(m: int, order: int) -> RationalSeries:
+    """Expansion of (1-x)^(-m) for m >= 0: coefficient of x^n is C(n+m-1, m-1)."""
+    if m < 0 or order < 0:
+        raise ValueError("exponent and truncation order must be nonnegative")
+    if m == 0:
+        return RationalSeries.constant(1, order)
+    return RationalSeries(
+        order, tuple(Fraction(math.comb(n + m - 1, m - 1)) for n in range(order + 1))
+    )
+
+
+def one_minus_x_pow(d: int, order: int) -> RationalSeries:
+    """The polynomial (1-x)^d for d >= 0, truncated at the given order."""
+    if d < 0:
+        raise ValueError(f"exponent must be nonnegative, got {d}")
+    coeffs = [
+        Fraction((-1) ** k * math.comb(d, k)) if k <= d else Fraction(0)
+        for k in range(order + 1)
+    ]
+    return RationalSeries(order, tuple(coeffs))
+
+
+def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Truncated Cauchy product."""
+    a._check(b)
+    n = a.order
+    out = [Fraction(0)] * (n + 1)
+    for i, ca in enumerate(a.coefficients):
+        if ca == 0:
+            continue
+        for j in range(n + 1 - i):
+            cb = b.coefficients[j]
+            if cb != 0:
+                out[i + j] += ca * cb
+    return RationalSeries(n, tuple(out))
+
+
+def series_log1m(u: RationalSeries) -> RationalSeries:
+    """log(1-u) = -sum_{k>=1} u^k / k for a series u with zero constant term.
+
+    Since u has valuation >= 1, u^k has valuation >= k and the sum below is
+    finite at any truncation order.
+    """
+    if u.coefficients[0] != 0:
+        raise NonzeroConstantTerm("log(1-u) requires u(0) = 0")
+    n = u.order
+    out = [Fraction(0)] * (n + 1)
+    power = u
+    for k in range(1, n + 1):
+        for idx, c in enumerate(power.coefficients):
+            if c != 0:
+                out[idx] -= Fraction(c, k)
+        if k < n:
+            power = series_mul(power, u)
+    return RationalSeries(n, tuple(out))
+
+
+def lcs_ranks_oracle(orders, max_n: int, order: int) -> tuple[int, ...]:
+    """R_1..R_max_n from the generating function, term by term: with s
+    factors, m of them infinite, and d_j = 1 exactly for the infinite ones,
+
+        U(x) = 1 + (1-x)^(-m) * ((s - 1) - sum_j (1-x)^(d_j)),
+        alpha_k = -(coefficient of x^k in log(1 - U(x))),
+        R_n = (1/n) * sum_{k | n, k > 1} mobius(n/k) * k * alpha_k,
+
+    with R_1 = m.  Uses the trial-division Moebius oracle."""
+    m = sum(1 for q in orders if q == 0)
+    acc = RationalSeries.constant(len(orders) - 1, order)
+    for q in orders:
+        acc = acc - one_minus_x_pow(1 if q == 0 else 0, order)
+    u = RationalSeries.constant(1, order) + series_mul(binomial_series(m, order), acc)
+    alpha = [-c for c in series_log1m(u).coefficients]
+    ranks = [m]
+    for n in range(2, max_n + 1):
+        total = sum(
+            mobius_oracle(n // k) * k * alpha[k] for k in range(2, n + 1) if n % k == 0
+        )
+        value = Fraction(total, n)
+        assert value.denominator == 1 and value >= 0, f"R_{n} = {value}"
+        ranks.append(int(value))
+    return tuple(ranks)
 
 
 def with_weights(K: WeightedComplex, mapper) -> WeightedComplex:
@@ -117,6 +266,13 @@ def random_factorization(rng) -> CyclicFactorization:
     return normalize_factorization(
         [rng.choice(pool) for _ in range(rng.randint(0, 5))]
     )
+
+
+def random_mixed_factorization(rng) -> CyclicFactorization:
+    """At least one infinite and at least one finite cyclic factor."""
+    free = [0] * rng.randint(1, 4)
+    finite = [rng.randint(2, 12) for _ in range(rng.randint(1, 4))]
+    return normalize_factorization(free + finite)
 
 
 def random_matrix(rng, max_dim=6, span=9) -> IntegerMatrix:

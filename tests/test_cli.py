@@ -38,6 +38,25 @@ class TestParseInput:
             parse_input(str(bad))
 
 
+class TestUnparseableInput:
+    @pytest.mark.parametrize("text", ["[" * 100000, "[" + "7" * 5000 + "]"],
+                             ids=["deep-nesting", "huge-integer"])
+    def test_is_input_error_without_traceback(self, capsys, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_undecodable_bytes_are_input_error(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
+
 class TestExitCodes:
     def test_classify_success(self, capsys):
         code, out, _ = run(capsys, "classify", fig("figure1.json"))

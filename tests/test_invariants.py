@@ -30,8 +30,10 @@ from helpers import (
     check_realize_roundtrip,
     check_relabel_invariance,
     check_sign_flip_invariance,
+    lcs_ranks_oracle,
     load_figure,
     random_connected_graph,
+    random_mixed_factorization,
     random_spanning_tree,
     with_weights,
 )
@@ -197,6 +199,15 @@ class TestLcsFreeRanks:
             ranks = lcs_free_ranks(CyclicFactorization((0,) * m), 8, order=16)
             for n in range(2, 9):
                 assert ranks.r(n) == witt_rank(m, n)
+
+    def test_matches_series_oracle_with_finite_factors(self):
+        rng = random.Random(89)
+        for _ in range(220):
+            g = random_mixed_factorization(rng)
+            max_n = rng.randint(1, 12)
+            order = rng.randint(max_n, 24)
+            got = lcs_free_ranks(g, max_n, order=order).ranks
+            assert got == lcs_ranks_oracle(g.orders, max_n, order), g
 
     def test_r1_formula_for_graphs(self):
         rng = random.Random(67)
