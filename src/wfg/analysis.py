@@ -16,10 +16,10 @@ from typing import Iterable
 
 from .complexes import (
     SpanningTree,
-    UnionFind,
     WeightedComplex,
     complex_from_json,
-    compute_maximal_tree,
+    ensure_tree,
+    is_spanning_tree,
     is_weighted_subcomplex,
 )
 from .errors import (
@@ -35,12 +35,15 @@ from .invariants import (
     abelianization,
     classify,
     normalize_factorization,
-    satisfies_exactly_two,
 )
 
 UNKNOWN_REGION = "unknown"
 
 HAMILTONIAN_VERTEX_LIMIT = 14
+
+# Partial paths the enumeration may visit: K9 takes 986,409, while K14,
+# within the vertex limit, would take about 2.4e11.
+HAMILTONIAN_PATH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,8 @@ class FiltrationAnalysis:
     abelian_fallback_stages: tuple[int, ...]
 
 
-def _stage_with_tree(stage: WeightedComplex) -> WeightedComplex:
-    if stage.tree is not None:
-        return stage
-    return stage.with_tree(compute_maximal_tree(stage, "bfs").edges)
-
-
 def _stage_factors(stage: WeightedComplex, index: int, fallback_abelian: bool):
-    prepared = _stage_with_tree(stage)
+    prepared = ensure_tree(stage)
     try:
         return classify(prepared), False
     except ConditionFailed as err:
@@ -128,31 +125,35 @@ def _region(region_map: dict[int, str], factor: int) -> str:
 def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[SpanningTree]:
     """All Hamiltonian paths of a graph, each returned as its edge set.
 
-    A path and its reverse give the same tree and are reported once.
-    Output is sorted lexicographically by edge list; the bound on the
-    vertex count keeps the backtracking enumeration tractable.
+    A path and its reverse give the same tree; only the direction with
+    path[0] <= path[-1] is reported.  Output is sorted lexicographically by
+    edge list.  The backtracking raises TooLarge once it has visited more
+    than HAMILTONIAN_PATH_BUDGET partial paths.
     """
     if complex.triangles:
         raise NotAGraph("Hamiltonian enumeration expects a graph")
     n = len(complex.vertices)
     if n > HAMILTONIAN_VERTEX_LIMIT:
         raise TooLarge(f"{n} vertices exceeds the limit of {HAMILTONIAN_VERTEX_LIMIT}")
-    if n == 1:
-        return [SpanningTree((), "given")]
-
     adjacency = complex.adjacency
-    found: set[tuple[tuple[int, int], ...]] = set()
+    found: list[tuple[tuple[int, int], ...]] = []
     path = []
     visited = [False] * n
+    count = 0
 
     def extend(v: int):
+        nonlocal count
+        count += 1
+        if count > HAMILTONIAN_PATH_BUDGET:
+            raise TooLarge(f"Hamiltonian enumeration stopped at {count} partial "
+                           f"paths, past the budget of {HAMILTONIAN_PATH_BUDGET}")
         path.append(v)
         visited[v] = True
         if len(path) == n:
-            edges = tuple(sorted(
-                (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
-            ))
-            found.add(edges)
+            if path[0] <= path[-1]:  # equal only for the one-vertex path
+                found.append(tuple(sorted(
+                    (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
+                )))
         else:
             for u in adjacency[v]:
                 if not visited[u]:
@@ -182,21 +183,15 @@ def discriminate_trees(
     When any tree fails the exactly-two condition, abelianizations are used
     for every tree so the comparison stays within one invariant."""
     trees = tuple(trees)
-    n = len(complex.vertices)
-    key_set = set(complex.edge_keys)
-    variants = []
     for t in trees:
-        if any(e not in key_set for e in t.edges) or len(t.edges) != n - 1:
+        if not is_spanning_tree(complex, t.edges):
             raise BadTree(f"{t.edges} is not a maximal tree of the complex")
-        uf = UnionFind(n)
-        if any(not uf.union(a, b) for a, b in t.edges):
-            raise BadTree(f"{t.edges} contains a cycle")
-        variants.append(complex.with_tree(t.edges))
+    variants = [complex.with_tree(t.edges) for t in trees]
 
-    if all(satisfies_exactly_two(v) for v in variants):
+    try:
         invariants = tuple(classify(v) for v in variants)
         used_abelianization = False
-    else:
+    except ConditionFailed:
         invariants = tuple(abelianization(v) for v in variants)
         used_abelianization = True
 

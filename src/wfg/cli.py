@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -22,9 +23,10 @@ from .complexes import (
     WeightedComplex,
     complex_from_json,
     compute_maximal_tree,
+    ensure_tree,
     validate,
 )
-from .errors import InputError, ParseError, SchemaError, WfgError
+from .errors import InputError, ParseError, SchemaError, TooLarge, WfgError
 from .exact import AbelianGroup
 from .invariants import (
     abelianization,
@@ -37,6 +39,9 @@ from .vankampen import CoverSpec, cover_from_json, verify_van_kampen
 
 COMPLEX_VERBS = ("validate", "tree", "present", "classify", "abelianize",
                  "homology", "lcs", "hamiltonian")
+
+# Python converts no integer of more than this many decimal digits to text.
+RANK_DIGIT_LIMIT = 4300
 
 
 def parse_input(path: str):
@@ -73,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         if tree_flag:
             p.add_argument("--tree", choices=("bfs", "kruskal-min", "kruskal-max"),
                            default=None,
-                           help="tree strategy (recompute; default: use the "
-                                "document's tree, else bfs)")
+                           help="build the tree with this strategy, ignoring "
+                                "(and not validating) the document's tree; "
+                                "default: use the document's tree, else bfs")
         return p
 
     add("validate", "check the structural invariants of a complex")
@@ -117,23 +123,6 @@ def _need_complex(value, verb):
     return value
 
 
-def _with_tree(complex: WeightedComplex, strategy) -> WeightedComplex:
-    if strategy is not None:
-        return complex.with_tree(compute_maximal_tree(complex, strategy).edges)
-    if complex.tree is not None:
-        return complex
-    return complex.with_tree(compute_maximal_tree(complex, "bfs").edges)
-
-
-def _validated(complex: WeightedComplex):
-    report = validate(complex)
-    if not report.ok:
-        for rule, message in report.violations:
-            print(f"invalid complex [{rule}]: {message}", file=sys.stderr)
-        return False
-    return True
-
-
 def _emit(payload: dict, text: str, as_json: bool):
     print(json.dumps(payload, indent=2) if as_json else text)
 
@@ -153,8 +142,10 @@ def run(argv) -> int:
         return _run_filtration(value, args.fallback_abelian, args.as_json)
 
     complex = _need_complex(value, verb)
+    if getattr(args, "tree", None) is not None:
+        complex = replace(complex, tree=None)
+    report = validate(complex)
     if verb == "validate":
-        report = validate(complex)
         payload = {
             "ok": report.ok,
             "violations": [{"rule": r, "message": m} for r, m in report.violations],
@@ -163,8 +154,12 @@ def run(argv) -> int:
         _emit(payload, "\n".join(lines), args.as_json)
         return 0 if report.ok else 1
 
-    if not _validated(complex):
+    if not report.ok:
+        for rule, message in report.violations:
+            print(f"invalid complex [{rule}]: {message}", file=sys.stderr)
         return 1
+    if verb in ("present", "classify", "abelianize", "lcs"):
+        complex = ensure_tree(complex, args.tree or "bfs")
 
     if verb == "tree":
         tree = compute_maximal_tree(complex, args.tree or "bfs")
@@ -176,21 +171,18 @@ def run(argv) -> int:
         return 0
 
     if verb == "present":
-        prepared = _with_tree(complex, args.tree)
-        p = present(prepared)
+        p = present(complex)
         _emit(presentation_to_json(p), str(p), args.as_json)
         return 0
 
     if verb == "classify":
-        prepared = _with_tree(complex, args.tree)
-        factors = classify(prepared)
+        factors = classify(complex)
         payload = {"factors": list(factors.orders), "text": str(factors)}
         _emit(payload, str(factors), args.as_json)
         return 0
 
     if verb == "abelianize":
-        prepared = _with_tree(complex, args.tree)
-        group = abelianization(prepared)
+        group = abelianization(complex)
         _emit(_abelian_json(group), str(group), args.as_json)
         return 0
 
@@ -201,8 +193,8 @@ def run(argv) -> int:
         return 0
 
     if verb == "lcs":
-        prepared = _with_tree(complex, args.tree)
-        factors = classify(prepared)
+        factors = classify(complex)
+        _check_rank_digits(factors.free_count, args.max_n)
         ranks = lcs_free_ranks(factors, args.max_n, args.series_order)
         payload = {
             "factors": list(factors.orders),
@@ -231,6 +223,15 @@ def run(argv) -> int:
         return 0
 
     raise AssertionError(f"unhandled verb {verb}")
+
+
+def _check_rank_digits(m: int, max_n: int):
+    """R_n <= m^n, so no rank can pass RANK_DIGIT_LIMIT digits while
+    m^max_n < 10^RANK_DIGIT_LIMIT.  Capping the exponent at 10/3 of the
+    limit bounds the work and changes nothing, since 2^(10k/3) > 10^k."""
+    if m > 1 and m ** min(max_n, RANK_DIGIT_LIMIT * 10 // 3) >= 10 ** RANK_DIGIT_LIMIT:
+        raise TooLarge(f"R_{max_n} could exceed {RANK_DIGIT_LIMIT} decimal digits; "
+                       "lower --max-n")
 
 
 def _ranks_text(ranks) -> str:

@@ -27,10 +27,12 @@ TREE_STRATEGIES = ("given", "bfs", "kruskal-min", "kruskal-max")
 
 
 class UnionFind:
-    """Plain union-find; union returns False when both ends already meet."""
+    """Union-find counting its components; union returns False when both
+    ends already meet."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.components = n
 
     def find(self, x: int) -> int:
         root = x
@@ -45,6 +47,7 @@ class UnionFind:
         if rx == ry:
             return False
         self.parent[rx] = ry
+        self.components -= 1
         return True
 
 
@@ -121,40 +124,23 @@ class ValidationReport:
     violations: tuple[tuple[str, str], ...]
 
 
-def _reachable(n: int, edge_keys: Iterable[EdgeKey]) -> list[bool]:
-    seen = [False] * n
-    if n == 0:
-        return seen
-    nbrs: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in edge_keys:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in nbrs[v]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return seen
+def _tree_violations(n: int, known_edges: set[EdgeKey], tree) -> list[tuple[str, str]]:
+    """Why an edge set is not a maximal tree on n vertices whose edges are
+    ``known_edges``; empty when it is one."""
+    v = [("tree-unknown-edge", f"tree edge {e} is not an edge of the complex")
+         for e in tree if e not in known_edges]
+    uf = UnionFind(n)
+    if not all([uf.union(a, b) for a, b in tree if (a, b) in known_edges]):
+        v.append(("tree-cycle", "tree edges contain a cycle"))
+    if len(tree) != n - 1 or uf.components > 1:
+        v.append(("tree-not-spanning", "tree does not span every vertex"))
+    return v
 
 
 def is_spanning_tree(complex: WeightedComplex, edges: Iterable[EdgeKey]) -> bool:
     """True iff the edge set is an acyclic connected subgraph covering
     every vertex of the complex."""
-    edges = list(edges)
-    n = len(complex.vertices)
-    key_set = set(complex.edge_keys)
-    if any(e not in key_set for e in edges):
-        return False
-    if len(edges) != n - 1:
-        return False
-    uf = UnionFind(n)
-    for a, b in edges:
-        if not uf.union(a, b):
-            return False
-    return True
+    return not _tree_violations(len(complex.vertices), set(complex.edge_keys), list(edges))
 
 
 def validate(complex: WeightedComplex) -> ValidationReport:
@@ -193,23 +179,14 @@ def validate(complex: WeightedComplex) -> ValidationReport:
                     ("face-closure", f"triangle ({a},{u},{b}) is missing face edge {e}")
                 )
 
-    if n > 0 and not all(_reachable(n, good_edges)):
+    skeleton = UnionFind(n)
+    for a, b in good_edges:
+        skeleton.union(a, b)
+    if skeleton.components > 1:
         v.append(("connected", "the 1-skeleton is not path-connected"))
 
     if complex.tree is not None:
-        tree = complex.tree
-        foreign = [e for e in tree if e not in good_edges]
-        for e in foreign:
-            v.append(("tree-unknown-edge", f"tree edge {e} is not an edge of the complex"))
-        uf = UnionFind(n)
-        cyclic = False
-        for a, b in tree:
-            if (a, b) in good_edges and not uf.union(a, b):
-                cyclic = True
-        if cyclic:
-            v.append(("tree-cycle", "tree edges contain a cycle"))
-        if len(tree) != n - 1 or not all(_reachable(n, [e for e in tree if e in good_edges])):
-            v.append(("tree-not-spanning", "tree does not span every vertex"))
+        v.extend(_tree_violations(n, good_edges, complex.tree))
 
     return ValidationReport(not v, tuple(v))
 
@@ -229,8 +206,6 @@ def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> Spa
         if complex.tree is None:
             raise MissingTree("complex has no tree attached")
         return SpanningTree(complex.tree, "given")
-    if n > 0 and not all(_reachable(n, complex.edge_keys)):
-        raise NotConnected("the 1-skeleton is not path-connected")
 
     if strategy == "bfs":
         seen = [False] * n
@@ -244,16 +219,23 @@ def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> Spa
                     seen[u] = True
                     edges.append((min(v, u), max(v, u)))
                     queue.append(u)
-        return SpanningTree(tuple(edges), "bfs")
-
-    descending = strategy == "kruskal-max"
-    order = sorted(
-        complex.edge_keys,
-        key=lambda e: (-abs(complex.weight_of[e]) if descending else abs(complex.weight_of[e]), e),
-    )
-    uf = UnionFind(n)
-    edges = [e for e in order if uf.union(*e)]
+    else:
+        sign = -1 if strategy == "kruskal-max" else 1
+        order = sorted(complex.edge_keys, key=lambda e: (sign * abs(complex.weight_of[e]), e))
+        uf = UnionFind(n)
+        edges = [e for e in order if uf.union(*e)]
+    # Both builds reach every vertex exactly when the 1-skeleton is connected.
+    if len(edges) < n - 1:
+        raise NotConnected("the 1-skeleton is not path-connected")
     return SpanningTree(tuple(edges), strategy)
+
+
+def ensure_tree(complex: WeightedComplex, strategy: str = "bfs") -> WeightedComplex:
+    """The complex itself when it carries a tree, else the complex with the
+    maximal tree that ``strategy`` builds."""
+    if complex.tree is not None:
+        return complex
+    return complex.with_tree(compute_maximal_tree(complex, strategy).edges)
 
 
 def relabel(complex: WeightedComplex, permutation: Sequence[int]) -> WeightedComplex:

@@ -116,9 +116,15 @@ class SnfResult:
 def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Pivoting is deterministic: the smallest nonzero absolute entry of the
-    remaining submatrix, ties broken lexicographically by position.  The
-    resulting diagonal is nonnegative and satisfies d1 | d2 | ... ; it is
+    Step t moves the smallest nonzero |entry| of the remaining submatrix
+    (ties broken by position) to (t, t) and clears row t and column t by
+    integer division.  Remainders can only sit in that row and column, so
+    the next pivot is picked from there alone; |pivot| strictly shrinks.
+    The pairwise gcd/lcm pass of ``AbelianGroup.from_cyclic_orders`` then
+    makes the diagonal a divisor chain: while d_i does not divide d_j
+    (i < j), adding row j to row i and clearing row and column i again
+    leaves gcd(d_i, d_j) at (i, i) and lcm(d_i, d_j) at (j, j), with U and
+    V kept exact.  The diagonal ends nonnegative with d1 | d2 | ... ; it is
     the unique Smith form of A.
     """
     m, n = A.rows, A.cols
@@ -126,82 +132,59 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     U = IntegerMatrix.identity(m).to_rows()
     V = IntegerMatrix.identity(n).to_rows()
 
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+    def move(t, i, j):
+        """Swap row i with row t and column j with column t."""
+        M[t], M[i] = M[i], M[t]
+        U[t], U[i] = U[i], U[t]
+        for rows in (M, V):
+            for row in rows:
+                row[t], row[j] = row[j], row[t]
 
     def add_row(dst, src, factor):
         M[dst] = [x + factor * y for x, y in zip(M[dst], M[src])]
         U[dst] = [x + factor * y for x, y in zip(U[dst], U[src])]
 
     def add_col(dst, src, factor):
-        for row in M:
-            row[dst] += factor * row[src]
-        for row in V:
-            row[dst] += factor * row[src]
+        for rows in (M, V):
+            for row in rows:
+                row[dst] += factor * row[src]
 
-    def pivot_position(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = M[i][j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        return None if best is None else (best[1], best[2])
-
-    t = 0
-    while t < min(m, n):
-        pos = pivot_position(t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
+    def clear(t):
+        """Zero row t and column t outside the pivot (t, t)."""
         while True:
             pivot = M[t][t]
-            dirty = False
             for i in range(t + 1, m):
-                if M[i][t] != 0:
+                if M[i][t]:
                     add_row(i, t, -(M[i][t] // pivot))
-                    if M[i][t] != 0:
-                        dirty = True
             for j in range(t + 1, n):
-                if M[t][j] != 0:
+                if M[t][j]:
                     add_col(j, t, -(M[t][j] // pivot))
-                    if M[t][j] != 0:
-                        dirty = True
-            if dirty:
-                # Some remainder survived; it is smaller than the pivot, so
-                # re-picking strictly shrinks |pivot| and the loop terminates.
-                pos = pivot_position(t)
-                i, j = pos
-                if i != t:
-                    swap_rows(t, i)
-                if j != t:
-                    swap_cols(t, j)
-                continue
-            bad = next(
-                ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                 if M[i][j] % pivot != 0),
-                None,
-            )
-            if bad is None:
-                break
-            # Pull the non-divisible row up; the next reduction pass will
-            # produce a strictly smaller pivot, enforcing the divisor chain.
-            add_row(t, bad[0], 1)
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
+            line = [(abs(M[t][j]), t, j) for j in range(t + 1, n) if M[t][j]]
+            line += [(abs(M[i][t]), i, t) for i in range(t + 1, m) if M[i][t]]
+            if not line:
+                return
+            move(t, *min(line)[1:])
+
+    for t in range(min(m, n)):
+        # Smallest nonzero |entry| of the remaining submatrix, first by
+        # position; each row is reduced to its own minimum first.
+        lows = [min(map(abs, filter(None, M[i][t:])), default=0) for i in range(t, m)]
+        low = min(filter(None, lows), default=0)
+        if not low:
+            break
+        i = t + lows.index(low)
+        move(t, i, t + list(map(abs, M[i][t:])).index(low))
+        clear(t)
+    rank = sum(1 for t in range(min(m, n)) if M[t][t])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            while M[j][j] % M[i][i]:
+                add_row(i, j, 1)
+                clear(i)
+        # No later step touches row or column i again.
+        if M[i][i] < 0:
+            M[i] = [-x for x in M[i]]
+            U[i] = [-x for x in U[i]]
 
     return SnfResult(
         U=IntegerMatrix.from_rows(U, m),

@@ -4,12 +4,15 @@ checkers run at full scale by the acceptance suite."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from wfg import (
     CyclicFactorization,
@@ -19,6 +22,7 @@ from wfg import (
     abelianization,
     analyze_filtration,
     classify,
+    complex_to_json,
     compute_maximal_tree,
     normalize_factorization,
     realize,
@@ -30,6 +34,8 @@ from wfg.complexes import UnionFind
 from wfg.vankampen import CoverSpec
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
+VERBS = ("validate", "tree", "present", "classify", "abelianize", "homology",
+         "lcs", "vankampen", "filtration", "hamiltonian")
 
 
 def load_figure(name: str) -> dict:
@@ -196,6 +202,66 @@ def lcs_ranks_oracle(orders, max_n: int, order: int) -> tuple[int, ...]:
         assert value.denominator == 1 and value >= 0, f"R_{n} = {value}"
         ranks.append(int(value))
     return tuple(ranks)
+
+
+def snf_diagonal_oracle(A: IntegerMatrix) -> list[int]:
+    """Smith diagonal from determinantal divisors, independent of the
+    library's elimination: d_k = D_k / D_(k-1), where D_k is the gcd of all
+    k x k minors (D_0 = 1).  Once D_k = 0 every later minor vanishes too."""
+    rows = A.to_rows()
+    size = min(A.rows, A.cols)
+    diag, previous = [], 1
+    for k in range(1, size + 1):
+        delta = 0
+        for r in itertools.combinations(range(A.rows), k):
+            for c in itertools.combinations(range(A.cols), k):
+                minor = IntegerMatrix.from_rows([[rows[i][j] for j in c] for i in r], k)
+                delta = math.gcd(delta, minor.determinant())
+        if delta == 0:
+            return diag + [0] * (size - k + 1)
+        diag.append(delta // previous)
+        previous = delta
+    return diag
+
+
+@st.composite
+def complexes(draw, max_vertices=6):
+    """Complexes the JSON schema accepts, on up to max_vertices vertices,
+    with every triangle's faces present.  Half the draws are connected, and
+    the tree is absent, any subset of the edges or a greedy spanning forest,
+    so both validation failures and the computations past validation are
+    reached."""
+    n = draw(st.integers(1, max_vertices))
+    labels = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    if draw(st.booleans()):
+        keys |= {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+    keys = sorted(keys)
+    edges = [(a, b, draw(st.integers(-12, 12))) for a, b in keys]
+    closed = [(a, v, b) for a, v, b in itertools.combinations(range(n), 3)
+              if {(a, v), (v, b), (a, b)} <= set(keys)]
+    triangles = draw(st.lists(st.sampled_from(closed), unique=True)) if closed else []
+    tree = draw(st.sampled_from(["none", "subset", "forest"]))
+    if tree == "none":
+        tree = None
+    elif tree == "subset":
+        tree = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    else:
+        uf = UnionFind(n)
+        tree = [e for e in draw(st.permutations(keys)) if uf.union(*e)]
+    return WeightedComplex(tuple(labels), tuple(edges), tuple(triangles), tree)
+
+
+def documents(max_vertices=6):
+    """Complex, cover and filtration documents built from ``complexes``."""
+    one = complexes(max_vertices).map(complex_to_json)
+    cover = st.fixed_dictionaries({k: one for k in ("L", "K1", "K2", "K0")})
+    filtration = st.fixed_dictionaries({
+        "stages": st.lists(one, min_size=1, max_size=3),
+        "regions": st.dictionaries(st.integers(-12, 12).map(str), st.text(max_size=3)),
+    })
+    return st.one_of(one, cover, filtration)
 
 
 def with_weights(K: WeightedComplex, mapper) -> WeightedComplex:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wfg import analysis
 from wfg.analysis import (
     BirthDeathEvent,
     Filtration,
@@ -14,7 +15,7 @@ from wfg.analysis import (
 )
 from wfg.complexes import SpanningTree, WeightedComplex, complex_from_json, validate
 from wfg.errors import BadTree, ConditionFailed, NotAGraph, NotNested, TooLarge
-from wfg.invariants import classify
+from wfg.invariants import abelianization, classify
 
 from helpers import check_filtration_conservation, load_figure
 
@@ -124,6 +125,19 @@ class TestEnumerateHamiltonianTrees:
             enumerate_hamiltonian_trees(path)
 
 
+    def test_budget_bounds_the_search(self, monkeypatch):
+        # K7 visits 7 + 7*6 + ... + 7! = 13,699 partial paths.
+        K7 = WeightedComplex(
+            tuple(f"v{i}" for i in range(7)),
+            tuple((a, b, 1) for a in range(7) for b in range(a + 1, 7)),
+        )
+        monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", 13_699)
+        assert len(enumerate_hamiltonian_trees(K7)) == 2520
+        monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", 13_698)
+        with pytest.raises(TooLarge, match="13698"):
+            enumerate_hamiltonian_trees(K7)
+
+
 class TestDiscriminateTrees:
     def test_distinct_weights_distinguish_trees(self):
         K = WeightedComplex(
@@ -142,6 +156,20 @@ class TestDiscriminateTrees:
         )
         report = discriminate_trees(K, enumerate_hamiltonian_trees(K))
         assert not report.distinguishable
+
+    def test_exactly_two_failure_switches_every_tree_to_abelianization(self):
+        K = WeightedComplex(
+            ("v0", "v1", "v2", "v3"),
+            ((0, 1, 2), (0, 2, 3), (0, 3, 5), (1, 2, 4), (2, 3, 6)),
+            ((0, 1, 2),),
+        )
+        good = SpanningTree(((0, 1), (1, 2), (2, 3)), "given")
+        bad = SpanningTree(((0, 1), (0, 3), (2, 3)), "given")
+        report = discriminate_trees(K, [good, bad])
+        assert report.used_abelianization
+        assert report.invariants == tuple(
+            abelianization(K.with_tree(t.edges)) for t in (good, bad)
+        )
 
     def test_single_tree_is_not_distinguishable(self):
         K = WeightedComplex(("v0", "v1"), ((0, 1, 3),))

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wfg import cli
 from wfg.cli import main, parse_input
 from wfg.complexes import WeightedComplex
-from wfg.errors import ParseError, SchemaError
+from wfg.errors import ParseError, SchemaError, TooLarge
 from wfg.vankampen import CoverSpec
 from wfg.analysis import Filtration
 
-from helpers import FIGURES, load_figure
+from helpers import FIGURES, VERBS, documents, load_figure
 
 
 def fig(name):
@@ -181,6 +187,65 @@ class TestVerbs:
         assert code == 0
         assert "6 Hamiltonian tree(s)" in out
         assert "distinguishable: True" in out
+
+
+class TestTreeFlag:
+    def test_tree_flag_replaces_an_invalid_stored_tree(self, capsys, tmp_path):
+        doc = {
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [{"a": 0, "b": 1, "w": 2}, {"a": 0, "b": 2, "w": 1},
+                      {"a": 1, "b": 2, "w": 3}, {"a": 2, "b": 3, "w": 4}],
+            "tree": [[0, 1], [1, 2], [0, 2]],
+        }
+        path = tmp_path / "cyclic-tree.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 1
+        assert "[tree-cycle]" in err
+        code, out, _ = run(capsys, "classify", str(path), "--tree", "bfs")
+        assert code == 0
+        assert out.strip() == "Z * Z/2 * Z/4"
+
+
+class TestLcsRankBound:
+    def test_ranks_too_long_to_print_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lcs", "--max-n", "14500", "--series-order", "14500",
+                             fig("figure1-w0-2.json"))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_small_requests_unchanged(self, capsys):
+        code, out, _ = run(capsys, "lcs", "--max-n", "8", fig("figure1-w0-2.json"))
+        assert code == 0
+        assert out == "R1=2 R2=1 R3=2 R4=3 R5=6 R6=9 R7=18 R8=30\n"
+
+    def test_bound_is_m_to_the_max_n(self):
+        cli._check_rank_digits(2, 14284)  # 2^14284 has 4300 digits
+        with pytest.raises(TooLarge):
+            cli._check_rank_digits(2, 14285)
+        with pytest.raises(TooLarge):
+            cli._check_rank_digits(10, 4300)
+        cli._check_rank_digits(10, 4299)
+        cli._check_rank_digits(1, 10 ** 9)
+        cli._check_rank_digits(0, 10 ** 9)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@settings(max_examples=40)
+@given(doc=documents(), tree=st.sampled_from([None, "bfs", "kruskal-min", "kruskal-max"]))
+def test_any_small_document_exits_cleanly(verb, doc, tree, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{verb}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [verb, str(path)]
+    if tree is not None and verb in ("tree", "present", "classify", "abelianize", "lcs"):
+        argv += ["--tree", tree]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestJsonOutput:

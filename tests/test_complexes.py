@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given
 
 from wfg.complexes import (
     WeightedComplex,
@@ -16,6 +17,7 @@ from wfg.complexes import (
 from wfg.errors import BadPermutation, MissingTree, NotConnected, SchemaError
 
 from helpers import (
+    complexes,
     load_figure,
     random_connected_graph,
     random_spanning_tree,
@@ -235,3 +237,8 @@ class TestJson:
         }
         with pytest.raises(SchemaError, match="is not an edge"):
             complex_from_json(doc)
+
+
+@given(complexes())
+def test_json_round_trip(K):
+    assert complex_from_json(complex_to_json(K)) == K

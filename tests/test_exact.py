@@ -22,6 +22,7 @@ from helpers import (
     one_minus_x_pow,
     random_matrix,
     series_log1m,
+    snf_diagonal_oracle,
     series_mul,
 )
 
@@ -80,6 +81,19 @@ class TestSmithNormalForm:
         assert result.U.mul(A).mul(result.V) == result.D
         assert result.U.is_unimodular()
         assert result.V.is_unimodular()
+
+
+    def test_matches_determinantal_divisor_oracle(self):
+        rng = random.Random(20260)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+            span = rng.choice((1, 3, 12, 360))
+            zeros = rng.random()
+            A = IntegerMatrix(rows, cols, tuple(
+                0 if rng.random() < zeros else rng.randint(-span, span)
+                for _ in range(rows * cols)
+            ))
+            assert smith_normal_form(A).diagonal() == snf_diagonal_oracle(A)
 
 
 class TestAbelianGroupFromMatrix:
