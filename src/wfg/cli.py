@@ -42,6 +42,9 @@ COMPLEX_VERBS = ("validate", "tree", "present", "classify", "abelianize",
 
 # Python converts no integer of more than this many decimal digits to text.
 RANK_DIGIT_LIMIT = 4300
+# Largest --max-n for any factorization.  Since 2^(10k/3) > 10^k, every
+# larger max_n already fails the digit bound when m >= 2.
+MAX_N_LIMIT = RANK_DIGIT_LIMIT * 10 // 3
 
 
 def parse_input(path: str):
@@ -195,6 +198,7 @@ def run(argv) -> int:
     if verb == "lcs":
         factors = classify(complex)
         _check_rank_digits(factors.free_count, args.max_n)
+        _check_max_n(args.max_n)
         ranks = lcs_free_ranks(factors, args.max_n, args.series_order)
         payload = {
             "factors": list(factors.orders),
@@ -227,10 +231,19 @@ def run(argv) -> int:
 
 def _check_rank_digits(m: int, max_n: int):
     """R_n <= m^n, so no rank can pass RANK_DIGIT_LIMIT digits while
-    m^max_n < 10^RANK_DIGIT_LIMIT.  Capping the exponent at 10/3 of the
-    limit bounds the work and changes nothing, since 2^(10k/3) > 10^k."""
-    if m > 1 and m ** min(max_n, RANK_DIGIT_LIMIT * 10 // 3) >= 10 ** RANK_DIGIT_LIMIT:
+    m^max_n < 10^RANK_DIGIT_LIMIT.  Capping the exponent at MAX_N_LIMIT
+    bounds the work and changes nothing."""
+    if m > 1 and m ** min(max_n, MAX_N_LIMIT) >= 10 ** RANK_DIGIT_LIMIT:
         raise TooLarge(f"R_{max_n} could exceed {RANK_DIGIT_LIMIT} decimal digits; "
+                       "lower --max-n")
+
+
+def _check_max_n(max_n: int):
+    """With m <= 1 infinite factors the ranks are 1, 0, 0, ... or all 0,
+    yet each still costs a divisor sum and is printed, so the work grows
+    about as max_n^1.5.  The cap bounds it for every m."""
+    if max_n > MAX_N_LIMIT:
+        raise TooLarge(f"--max-n {max_n} is past the limit of {MAX_N_LIMIT}; "
                        "lower --max-n")
 
 

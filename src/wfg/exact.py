@@ -2,12 +2,14 @@
 
 Everything in this module is arbitrary precision: dense integer matrices
 with Smith normal form, finitely generated abelian groups in invariant
-factor form, and the Moebius function.  No floating point appears on any
+factor form with a sparse kernel that finds them from a relation matrix,
+and the Moebius function.  No floating point appears on any
 computation path.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,13 +56,6 @@ class IntegerMatrix:
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -241,14 +236,90 @@ class AbelianGroup:
 
 
 def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGroup:
-    """Cokernel of A^T: the group Z^n_generators modulo the row space of A."""
+    """Cokernel of A^T: the group Z^n_generators modulo the row space of A.
+
+    Up to isomorphism the group is fixed by the Smith diagonal of A alone;
+    U and V would only name its generators.  So no transform is kept, and
+    a sparse elimination works on the nonzeros: one dict {column: value}
+    per row, and the set of rows that use each column.  Each step pivots
+    on the entry of least |value|, then least Markowitz cost (r-1)(c-1)
+    for r nonzeros in its row and c in its column, then least position, so
+    unit pivots come first.  A heap holds every entry under that key and
+    is refreshed for the rows and columns each step touches.  Row
+    operations reduce the pivot column modulo the pivot p.  Once the
+    column is clear, a column operation changes the pivot row alone, so
+    the row is reduced modulo p in place; if nothing is left but p, row
+    and column split off as the diagonal entry |p|.  A unit pivot always
+    splits, which is the matrix form of the Tietze move in
+    ``presentation.simplify``.  Any remainder is smaller than |p|, so the
+    least |entry| strictly falls until the next split.  The 1s are then
+    dropped and the rest recombined into invariant factors by the gcd/lcm
+    pass of ``AbelianGroup.from_cyclic_orders``.
+    """
     if A.cols != n_generators:
         raise ShapeMismatch(
             f"relation matrix has {A.cols} columns but there are {n_generators} generators"
         )
-    diag = smith_normal_form(A).diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    return AbelianGroup(n_generators - rank, tuple(d for d in diag if d >= 2))
+    rows: dict[int, dict[int, int]] = {}
+    users: list[set[int]] = [set() for _ in range(A.cols)]
+    for i in range(A.rows):
+        row = {j: x for j, x in enumerate(A.entries[i * A.cols:(i + 1) * A.cols]) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                users[j].add(i)
+
+    def key(i, j):
+        return (abs(rows[i][j]), (len(rows[i]) - 1) * (len(users[j]) - 1), i, j)
+
+    heap = [key(i, j) for i, row in rows.items() for j in row]
+    heapq.heapify(heap)
+    orders = []
+    while heap:
+        entry = heapq.heappop(heap)
+        r, c = entry[2:]
+        if r not in rows or c not in rows[r] or key(r, c) != entry:
+            continue  # a later push holds this entry's current key
+        pivot = rows[r]
+        p = pivot[c]
+        touched = {r}
+        for i in users[c] - touched:
+            row = rows[i]
+            f = row[c] // p
+            for j, x in pivot.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                    users[j].add(i)
+                else:
+                    del row[j]
+                    users[j].discard(i)
+            if not row:
+                del rows[i]
+            touched.add(i)
+        columns = list(pivot)
+        if len(users[c]) == 1:
+            # Column c is clear, so a column operation changes row r alone.
+            for j in columns:
+                if j != c:
+                    pivot[j] %= p
+                    if not pivot[j]:
+                        del pivot[j]
+                        users[j].discard(r)
+            if len(pivot) == 1:
+                orders.append(abs(p))
+                del rows[r]
+                users[c].clear()
+        # Keys changed only in the touched rows and the pivot row's columns.
+        for i in touched:
+            if i in rows:
+                for j in rows[i]:
+                    heapq.heappush(heap, key(i, j))
+        for j in columns:
+            for i in users[j] - touched:
+                heapq.heappush(heap, key(i, j))
+    torsion = [d for d in orders if d != 1]
+    return AbelianGroup.from_cyclic_orders([0] * (n_generators - len(orders)) + torsion)
 
 
 def mobius(n: int) -> int:

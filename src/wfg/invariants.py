@@ -138,14 +138,14 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
         raise ZeroWeightEdge(f"edge ({zero[0]},{zero[1]}) has weight 0")
     n_v = len(complex.vertices)
     n_e = len(complex.edges)
-    rows = [[0] * n_e for _ in range(n_v)]
-    for j, (a, b, w) in enumerate(complex.edges):
-        rows[b][j] += w
-        rows[a][j] -= w
-    boundary = IntegerMatrix.from_rows(rows, n_e)
+    # The transposed boundary: one row per edge, -w at [a] and +w at [b].
+    entries = [0] * (n_e * n_v)
+    for i, (a, b, w) in enumerate(complex.edges):
+        entries[i * n_v + a] -= w
+        entries[i * n_v + b] += w
     # The boundary and its transpose share one Smith diagonal, so the rank
     # that H1 needs is read off the cokernel H0: rank = n_v - free rank.
-    h0 = abelian_group_from_matrix(boundary.transpose(), n_v)
+    h0 = abelian_group_from_matrix(IntegerMatrix(n_e, n_v, tuple(entries)), n_v)
     h1 = AbelianGroup(n_e - (n_v - h0.free_rank))
     return WeightedHomology(h0=h0, h1=h1)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from wfg import (
+    AbelianGroup,
     CyclicFactorization,
     Filtration,
     IntegerMatrix,
@@ -222,6 +223,53 @@ def snf_diagonal_oracle(A: IntegerMatrix) -> list[int]:
         diag.append(delta // previous)
         previous = delta
     return diag
+
+
+def dense_abelian_group(A: IntegerMatrix, n_generators: int) -> AbelianGroup:
+    """Cokernel of A^T read off the dense Smith form, U and V included: the
+    oracle for the sparse kernel behind ``abelian_group_from_matrix``."""
+    return diagonal_group(smith_normal_form(A).diagonal(), n_generators)
+
+
+def diagonal_group(diag, n_generators: int) -> AbelianGroup:
+    """Z^n_generators modulo the diagonal relations d_i * e_i."""
+    rank = sum(1 for d in diag if d != 0)
+    return AbelianGroup(n_generators - rank, tuple(d for d in diag if d >= 2))
+
+
+RELATION_MATRIX_KINDS = ("plain", "no-units", "zero-lines", "empty", "duplicate-rows",
+                         "huge", "sparse")
+
+
+def random_relation_matrix(rng, kind: str, max_dim=6) -> IntegerMatrix:
+    """A random relation matrix of one of ``RELATION_MATRIX_KINDS``:
+    entries in [-9, 9]; no entry +-1; zero rows and columns spliced in;
+    0 x n or m x 0; rows repeated, negated or scaled; entries near
+    +-2^64 and its multiples; or mostly zeros."""
+    rows, cols = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    if kind == "empty":
+        return IntegerMatrix(*rng.choice([(0, cols), (rows, 0), (0, 0)]), ())
+
+    def entry():
+        if kind == "no-units":
+            return rng.choice((0, 1)) * rng.choice((-1, 1)) * rng.randint(2, 9)
+        if kind == "huge":
+            return rng.choice((-1, 0, 1)) * (2 ** 64 * rng.randint(1, 3) + rng.randint(-3, 3))
+        if kind == "sparse":
+            return rng.randint(-9, 9) if rng.random() < 0.25 else 0
+        return rng.randint(-9, 9)
+
+    M = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-lines":
+        M.insert(rng.randint(0, rows), [0] * cols)
+        j = rng.randint(0, cols)
+        M = [row[:j] + [0] + row[j:] for row in M]
+    if kind == "duplicate-rows":
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice((-2, -1, 1, 2))
+            M.append([c * x for x in rng.choice(M)])
+        rng.shuffle(M)
+    return IntegerMatrix.from_rows(M, len(M[0]))
 
 
 @st.composite
@@ -502,6 +550,61 @@ def random_filtration(rng, max_vertices=8, max_stages=4) -> Filtration:
         stage = WeightedComplex(tuple(f"v{i}" for i in range(size)), edges)
         stages.append(stage.with_tree(random_spanning_tree(stage, rng)))
     return Filtration(tuple(stages), {})
+
+
+def _grid(k: int, weight):
+    """Labels, weighted edges and triangles of a k x k grid of squares, each
+    square cut along its down-right diagonal; vertex (r, c) has index
+    r*(k+1)+c."""
+    side = k + 1
+    labels = tuple(f"v{r}_{c}" for r in range(side) for c in range(side))
+    edges, triangles = {}, []
+    for v in range(side * side):
+        r, c = divmod(v, side)
+        if c < k:
+            edges[(v, v + 1)] = weight()
+        if r < k:
+            edges[(v, v + side)] = weight()
+        if r < k and c < k:
+            edges[(v, v + side + 1)] = weight()
+            triangles += [(v, v + 1, v + side + 1), (v, v + side, v + side + 1)]
+    return labels, edges, triangles
+
+
+def triangulated_grid(rng, k: int) -> WeightedComplex:
+    """The triangulated k x k grid, weights in [-5, 5], breadth-first tree."""
+    labels, edges, triangles = _grid(k, lambda: rng.randint(-5, 5))
+    K = WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()),
+                        tuple(triangles))
+    return K.with_tree(compute_maximal_tree(K, "bfs").edges)
+
+
+def grid_skeleton(rng, k: int) -> WeightedComplex:
+    """1-skeleton of the grid with weights in 2..9: no boundary entry is a
+    unit, so elimination must make its own."""
+    labels, edges, _ = _grid(k, lambda: rng.randint(2, 9))
+    return WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()))
+
+
+def split_grid_cover(rng, k: int) -> CoverSpec:
+    """The triangulated grid (k even) cut into two halves sharing the middle
+    column.  K0 is the middle column path with the path as its tree; each
+    side's tree adds that side's horizontal edges to K0's tree."""
+    labels, weights, triangles = _grid(k, lambda: rng.randint(-5, 5))
+    side, mid = k + 1, k // 2
+
+    def piece(keep):
+        kept = [v for v in range(side * side) if keep(v % side)]
+        index = {v: i for i, v in enumerate(kept)}
+        edges = [(index[a], index[b], w) for (a, b), w in weights.items()
+                 if a in index and b in index]
+        tris = [tuple(index[v] for v in t) for t in triangles if all(v in index for v in t)]
+        tree = [(index[a], index[b]) for a, b in weights if a in index and b in index
+                and (a % side == b % side == mid or b == a + 1)]
+        return WeightedComplex(tuple(labels[v] for v in kept), edges, tris, tree)
+
+    return CoverSpec(L=piece(lambda c: True), K1=piece(lambda c: c <= mid),
+                     K2=piece(lambda c: c >= mid), K0=piece(lambda c: c == mid))
 
 
 # ---------------------------------------------------------------------------

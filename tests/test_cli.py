@@ -221,6 +221,26 @@ class TestLcsRankBound:
         assert code == 0
         assert out == "R1=2 R2=1 R3=2 R4=3 R5=6 R6=9 R7=18 R8=30\n"
 
+    # m = 0, 1 and 2 infinite factors.
+    @pytest.mark.parametrize("name", ["figure2.json", "figure1.json", "figure1-w0-2.json"])
+    def test_max_n_capped_for_every_factorization(self, capsys, name):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lcs", "--max-n", "320000", "--series-order", "320000",
+                             fig(name))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_max_n_cap_boundary(self, capsys):
+        code, out, _ = run(capsys, "lcs", "--max-n", str(cli.MAX_N_LIMIT),
+                           "--series-order", str(cli.MAX_N_LIMIT), fig("figure1.json"))
+        assert code == 0 and out.endswith(f"R{cli.MAX_N_LIMIT}=0\n")
+        code, out, err = run(capsys, "lcs", "--max-n", str(cli.MAX_N_LIMIT + 1),
+                             "--series-order", str(cli.MAX_N_LIMIT + 1), fig("figure1.json"))
+        assert code == 2 and out == ""
+        assert err == f"error: --max-n {cli.MAX_N_LIMIT + 1} is past the limit of " \
+                      f"{cli.MAX_N_LIMIT}; lower --max-n\n"
+
     def test_bound_is_m_to_the_max_n(self):
         cli._check_rank_digits(2, 14284)  # 2^14284 has 4300 digits
         with pytest.raises(TooLarge):

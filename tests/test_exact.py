@@ -13,14 +13,18 @@ from wfg.exact import (
 )
 
 from helpers import (
+    RELATION_MATRIX_KINDS,
     NonzeroConstantTerm,
     OrderMismatch,
     RationalSeries,
     binomial_series,
     check_snf_contract,
+    dense_abelian_group,
+    diagonal_group,
     mobius_oracle,
     one_minus_x_pow,
     random_matrix,
+    random_relation_matrix,
     series_log1m,
     snf_diagonal_oracle,
     series_mul,
@@ -136,6 +140,54 @@ class TestAbelianGroupFromMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             abelian_group_from_matrix(IntegerMatrix(0, 3, ()), 4)
+
+
+class TestSparseKernel:
+    """``abelian_group_from_matrix`` against the dense Smith form and the
+    determinantal-divisor oracle."""
+
+    def test_agrees_with_both_oracles(self):
+        rng = random.Random(4)
+        seen = {kind: 0 for kind in RELATION_MATRIX_KINDS}
+        for case in range(420):
+            kind = RELATION_MATRIX_KINDS[case % len(RELATION_MATRIX_KINDS)]
+            A = random_relation_matrix(rng, kind)
+            group = abelian_group_from_matrix(A, A.cols)
+            assert group == dense_abelian_group(A, A.cols), (kind, A)
+            if min(A.rows, A.cols) <= 4:
+                assert group == diagonal_group(snf_diagonal_oracle(A), A.cols), (kind, A)
+                seen[kind] += 1
+        assert min(seen.values()) >= 30
+
+    def test_generated_cases_have_their_kind(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            A = random_relation_matrix(rng, "no-units")
+            assert not any(abs(x) == 1 for x in A.entries)
+            A = random_relation_matrix(rng, "huge")
+            assert all(abs(x) >= 2 ** 64 - 3 for x in A.entries if x)
+            A = random_relation_matrix(rng, "empty")
+            assert A.rows == 0 or A.cols == 0
+            A = random_relation_matrix(rng, "zero-lines")
+            rows = A.to_rows()
+            assert [0] * A.cols in rows
+            assert any(all(row[j] == 0 for row in rows) for j in range(A.cols))
+            rows = random_relation_matrix(rng, "duplicate-rows").to_rows()
+            assert any(rows[i] == [c * x for x in rows[j]]
+                       for i in range(len(rows)) for j in range(len(rows)) if i != j
+                       for c in (-2, -1, 1, 2))
+
+    def test_examples(self):
+        cases = [
+            ([[4, 6], [6, 4]], AbelianGroup(0, (2, 10))),
+            ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], AbelianGroup(0, (2, 6, 12))),
+            ([[0, 0], [0, 0]], AbelianGroup(2)),
+            ([[2 ** 64, 0], [0, 2 ** 64 + 2]], AbelianGroup(0, (2, 2 ** 127 + 2 ** 64))),
+            ([[3, 5]], AbelianGroup(1)),
+        ]
+        for rows, group in cases:
+            A = IntegerMatrix.from_rows(rows)
+            assert abelian_group_from_matrix(A, A.cols) == group
 
 
 class TestAbelianGroup:

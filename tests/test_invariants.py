@@ -11,7 +11,10 @@ from wfg.errors import (
     TruncationTooSmall,
     ZeroWeightEdge,
 )
-from wfg.exact import AbelianGroup
+from wfg import exact
+from wfg.exact import AbelianGroup, IntegerMatrix, smith_normal_form
+from wfg.presentation import abelianized_relation_matrix, present
+from wfg.vankampen import amalgamated_presentation, verify_van_kampen
 from wfg.invariants import (
     CyclicFactorization,
     abelianization,
@@ -30,11 +33,16 @@ from helpers import (
     check_realize_roundtrip,
     check_relabel_invariance,
     check_sign_flip_invariance,
+    dense_abelian_group,
+    diagonal_group,
+    grid_skeleton,
     lcs_ranks_oracle,
     load_figure,
     random_connected_graph,
     random_mixed_factorization,
     random_spanning_tree,
+    split_grid_cover,
+    triangulated_grid,
     with_weights,
 )
 
@@ -169,6 +177,58 @@ class TestWeightedHomology:
         K = with_weights(FIGURE1, lambda a, b, w: 0 if (a, b) == (0, 1) else w)
         with pytest.raises(ZeroWeightEdge):
             weighted_homology_graph(K)
+
+
+class TestSparseKernelOnGrids:
+    """Grids fill in under elimination and make Markowitz order matter,
+    which small random matrices do not; the dense Smith form is the
+    oracle."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_triangulated_grid(self, k):
+        rng = random.Random(k)
+        for _ in range(3):
+            K = triangulated_grid(rng, k)
+            A = abelianized_relation_matrix(present(K))
+            assert abelianization(K) == dense_abelian_group(A, A.cols)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_skeleton_homology(self, k):
+        rng = random.Random(k)
+        for _ in range(3):
+            K = grid_skeleton(rng, k)
+            n_v, n_e = len(K.vertices), len(K.edges)
+            boundary = [[0] * n_e for _ in range(n_v)]
+            for j, (a, b, w) in enumerate(K.edges):
+                boundary[a][j] -= w
+                boundary[b][j] += w
+            diag = smith_normal_form(IntegerMatrix.from_rows(boundary, n_e)).diagonal()
+            rank = sum(1 for d in diag if d)
+            homology = weighted_homology_graph(K)
+            assert homology.h0 == diagonal_group(diag, n_v)
+            assert homology.h1 == AbelianGroup(n_e - rank)
+
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_split_grid_cover(self, k):
+        rng = random.Random(k)
+        for _ in range(3):
+            spec = split_grid_cover(rng, k)
+            report = verify_van_kampen(spec)
+            assert report.hypotheses_ok and report.abelianizations_equal
+            A = abelianized_relation_matrix(amalgamated_presentation(spec))
+            assert report.abelianization_amalgamated == dense_abelian_group(A, A.cols)
+            A = abelianized_relation_matrix(present(spec.L))
+            assert report.abelianization_direct == dense_abelian_group(A, A.cols)
+
+    def test_no_library_path_runs_the_dense_form(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("dense Smith form called")
+
+        monkeypatch.setattr(exact, "smith_normal_form", refuse)
+        rng = random.Random(0)
+        abelianization(triangulated_grid(rng, 3))
+        weighted_homology_graph(grid_skeleton(rng, 3))
+        verify_van_kampen(split_grid_cover(rng, 2))
 
 
 class TestLcsFreeRanks:
