@@ -17,9 +17,9 @@ from typing import Iterable
 from .complexes import (
     SpanningTree,
     WeightedComplex,
+    _tree_violations,
     complex_from_json,
     ensure_tree,
-    is_spanning_tree,
     is_weighted_subcomplex,
 )
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .invariants import (
     CyclicFactorization,
+    _tree_classifier,
     abelianization,
     classify,
     normalize_factorization,
@@ -183,16 +184,17 @@ def discriminate_trees(
     When any tree fails the exactly-two condition, abelianizations are used
     for every tree so the comparison stays within one invariant."""
     trees = tuple(trees)
+    n, known_edges = len(complex.vertices), set(complex.edge_keys)
     for t in trees:
-        if not is_spanning_tree(complex, t.edges):
+        if _tree_violations(n, known_edges, t.edges):
             raise BadTree(f"{t.edges} is not a maximal tree of the complex")
-    variants = [complex.with_tree(t.edges) for t in trees]
 
+    factors = _tree_classifier(complex)
     try:
-        invariants = tuple(classify(v) for v in variants)
+        invariants = tuple(factors(t.edges) for t in trees)
         used_abelianization = False
     except ConditionFailed:
-        invariants = tuple(abelianization(v) for v in variants)
+        invariants = tuple(abelianization(complex.with_tree(t.edges)) for t in trees)
         used_abelianization = True
 
     distinguishable = any(inv != invariants[0] for inv in invariants[1:])

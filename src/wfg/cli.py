@@ -42,6 +42,7 @@ COMPLEX_VERBS = ("validate", "tree", "present", "classify", "abelianize",
 
 # Python converts no integer of more than this many decimal digits to text.
 RANK_DIGIT_LIMIT = 4300
+_DIGIT_BOUND = 10 ** RANK_DIGIT_LIMIT  # the least integer past the limit
 # Largest --max-n for any factorization.  Since 2^(10k/3) > 10^k, every
 # larger max_n already fails the digit bound when m >= 2.
 MAX_N_LIMIT = RANK_DIGIT_LIMIT * 10 // 3
@@ -126,8 +127,15 @@ def _need_complex(value, verb):
     return value
 
 
-def _emit(payload: dict, text: str, as_json: bool):
-    print(json.dumps(payload, indent=2) if as_json else text)
+def _emit(payload, text, as_json: bool):
+    """Write the report; only the form asked for needs to be built."""
+    if as_json:
+        # Streamed chunk by chunk: the joined document of a large
+        # hamiltonian report would be held in memory at once.
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        print(text)
 
 
 def run(argv) -> int:
@@ -186,11 +194,13 @@ def run(argv) -> int:
 
     if verb == "abelianize":
         group = abelianization(complex)
+        _check_factor_digits(group.torsion)
         _emit(_abelian_json(group), str(group), args.as_json)
         return 0
 
     if verb == "homology":
         homology = weighted_homology_graph(complex)
+        _check_factor_digits(homology.h0.torsion + homology.h1.torsion)
         payload = {"h1": _abelian_json(homology.h1), "h0": _abelian_json(homology.h0)}
         _emit(payload, f"H1 = {homology.h1}\nH0 = {homology.h0}", args.as_json)
         return 0
@@ -211,19 +221,21 @@ def run(argv) -> int:
     if verb == "hamiltonian":
         trees = enumerate_hamiltonian_trees(complex)
         report = discriminate_trees(complex, trees)
-        payload = {
-            "count": len(trees),
-            "trees": [[list(e) for e in t.edges] for t in trees],
-            "invariants": [str(inv) for inv in report.invariants],
-            "used_abelianization": report.used_abelianization,
-            "distinguishable": report.distinguishable,
-        }
+        if args.as_json:
+            _emit({
+                "count": len(trees),
+                "trees": [t.edges for t in trees],  # tuples encode as arrays
+                "invariants": [str(inv) for inv in report.invariants],
+                "used_abelianization": report.used_abelianization,
+                "distinguishable": report.distinguishable,
+            }, None, True)
+            return 0
         lines = [f"{len(trees)} Hamiltonian tree(s)"]
         for tree, inv in zip(trees, report.invariants):
             edges = ", ".join("{}-{}".format(*complex.edge_labels(e)) for e in tree.edges)
             lines.append(f"  [{edges}] -> {inv}")
         lines.append(f"distinguishable: {report.distinguishable}")
-        _emit(payload, "\n".join(lines), args.as_json)
+        _emit(None, "\n".join(lines), False)
         return 0
 
     raise AssertionError(f"unhandled verb {verb}")
@@ -233,9 +245,18 @@ def _check_rank_digits(m: int, max_n: int):
     """R_n <= m^n, so no rank can pass RANK_DIGIT_LIMIT digits while
     m^max_n < 10^RANK_DIGIT_LIMIT.  Capping the exponent at MAX_N_LIMIT
     bounds the work and changes nothing."""
-    if m > 1 and m ** min(max_n, MAX_N_LIMIT) >= 10 ** RANK_DIGIT_LIMIT:
+    if m > 1 and m ** min(max_n, MAX_N_LIMIT) >= _DIGIT_BOUND:
         raise TooLarge(f"R_{max_n} could exceed {RANK_DIGIT_LIMIT} decimal digits; "
                        "lower --max-n")
+
+
+def _check_factor_digits(factors):
+    """Python writes no integer of more than RANK_DIGIT_LIMIT digits as
+    text.  Checked before any output, so that a failing report leaves
+    nothing half written on stdout."""
+    if any(abs(m) >= _DIGIT_BOUND for m in factors):
+        raise TooLarge(f"a group factor has more than {RANK_DIGIT_LIMIT} decimal "
+                       "digits and cannot be printed")
 
 
 def _check_max_n(max_n: int):
@@ -253,6 +274,9 @@ def _ranks_text(ranks) -> str:
 
 def _run_vankampen(spec: CoverSpec, as_json: bool) -> int:
     report = verify_van_kampen(spec)
+    _check_factor_digits(d for g in (report.abelianization_amalgamated,
+                                     report.abelianization_direct)
+                         if g is not None for d in g.torsion)
     payload = {
         "hypotheses_ok": report.hypotheses_ok,
         "violations": [
@@ -313,6 +337,7 @@ def _run_filtration(f: Filtration, fallback_abelian: bool, as_json: bool) -> int
                 print(f"stage {i} invalid [{rule}]: {message}", file=sys.stderr)
             return 1
     analysis = analyze_filtration(f, fallback_abelian=fallback_abelian)
+    _check_factor_digits(m for fac in analysis.stage_factors for m in fac.orders)
     payload = {
         "stages": [list(fac.orders) for fac in analysis.stage_factors],
         "events": [

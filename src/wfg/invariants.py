@@ -34,10 +34,12 @@ class CyclicFactorization:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(sorted(int(m) for m in self.orders)))
-        for m in self.orders:
-            if m < 0 or m == 1:
-                raise ValueError(f"cyclic order {m} is not normalized")
+        orders = tuple(sorted(map(int, self.orders)))
+        object.__setattr__(self, "orders", orders)
+        # Sorted, so a negative order comes first.
+        if (orders and orders[0] < 0) or 1 in orders:
+            m = orders[0] if orders[0] < 0 else 1
+            raise ValueError(f"cyclic order {m} is not normalized")
 
     @property
     def free_count(self) -> int:
@@ -61,16 +63,18 @@ def normalize_factorization(raw: Iterable[int]) -> CyclicFactorization:
 def satisfies_exactly_two(complex: WeightedComplex) -> bool:
     """For every triangle, exactly two of its three edges lie in the tree.
     Vacuously true for graphs."""
-    return _failing_triangle(complex) is None
+    return _failing_triangle(complex.triangles, set(_tree_of(complex))) is None
 
 
-def _failing_triangle(complex: WeightedComplex):
+def _tree_of(complex: WeightedComplex):
     if complex.tree is None:
         raise MissingTree("the exactly-two condition is relative to a tree")
-    tree = set(complex.tree)
-    for a, v, b in complex.triangles:
-        in_tree = sum(1 for e in ((a, v), (v, b), (a, b)) if e in tree)
-        if in_tree != 2:
+    return complex.tree
+
+
+def _failing_triangle(triangles, tree: set):
+    for a, v, b in triangles:
+        if ((a, v) in tree) + ((v, b) in tree) + ((a, b) in tree) != 2:
             return (a, v, b)
     return None
 
@@ -87,22 +91,43 @@ def classify(complex: WeightedComplex) -> CyclicFactorization:
     """Free-product-of-cyclics classification under the exactly-two
     condition: tree edges and non-tree triangle faces contribute |w|,
     remaining edges contribute an infinite factor."""
-    bad = _failing_triangle(complex)
-    if bad is not None:
-        la, lv, lb = (complex.vertices[i] for i in bad)
-        raise ConditionFailed(
-            f"exactly-two condition fails at triangle ({la},{lv},{lb})",
-            triangle=bad,
-        )
-    tree = set(complex.tree)
+    tree = _tree_of(complex)
+    return _tree_classifier(complex)(tree)
+
+
+def _tree_classifier(complex: WeightedComplex):
+    """``classify`` of the complex against any tree: the returned function
+    takes a tree's (distinct) edge keys and raises ConditionFailed as
+    classify does.  Faces and weights are read once, here.  A call walks
+    the triangles and the tree's edges only: every face gives |w| whatever
+    the tree, and each other edge outside the tree gives Z, so those Z
+    factors are filled in by count."""
     faces = triangle_faces(complex)
-    raw = []
+    face_orders = []
+    # |w| of each non-face edge, as a list: before validation a key may
+    # carry two weights, and classify counts both.
+    others: dict[tuple[int, int], list[int]] = {}
     for a, b, w in complex.edges:
-        if (a, b) in tree or (a, b) in faces:
-            raw.append(w)
-        else:
-            raw.append(0)
-    return normalize_factorization(raw)
+        if (a, b) not in faces:
+            others.setdefault((a, b), []).append(abs(w))
+        elif abs(w) != 1:
+            face_orders.append(abs(w))
+    n_others = sum(map(len, others.values()))
+
+    def factors(tree) -> CyclicFactorization:
+        if complex.triangles:
+            bad = _failing_triangle(complex.triangles, set(tree))
+            if bad is not None:
+                la, lv, lb = (complex.vertices[i] for i in bad)
+                raise ConditionFailed(
+                    f"exactly-two condition fails at triangle ({la},{lv},{lb})",
+                    triangle=bad,
+                )
+        in_tree = [m for e in tree for m in others.get(e, ())]
+        orders = face_orders + [m for m in in_tree if m != 1]
+        return CyclicFactorization(tuple(orders) + (0,) * (n_others - len(in_tree)))
+
+    return factors
 
 
 def realize(target: CyclicFactorization) -> WeightedComplex:

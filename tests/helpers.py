@@ -31,7 +31,8 @@ from wfg import (
     smith_normal_form,
     validate,
 )
-from wfg.complexes import UnionFind
+from wfg.complexes import SpanningTree, UnionFind
+from wfg.errors import ConditionFailed
 from wfg.vankampen import CoverSpec
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
@@ -237,6 +238,35 @@ def diagonal_group(diag, n_generators: int) -> AbelianGroup:
     return AbelianGroup(n_generators - rank, tuple(d for d in diag if d >= 2))
 
 
+def classify_oracle(complex: WeightedComplex) -> CyclicFactorization:
+    """``classify`` read off every edge of the complex against its stored
+    tree: the oracle for the per-tree routine, which walks only the tree."""
+    tree = set(complex.tree)
+    for a, v, b in complex.triangles:
+        if sum(e in tree for e in ((a, v), (v, b), (a, b))) != 2:
+            la, lv, lb = (complex.vertices[i] for i in (a, v, b))
+            raise ConditionFailed(
+                f"exactly-two condition fails at triangle ({la},{lv},{lb})",
+                triangle=(a, v, b),
+            )
+    faces = {e for a, v, b in complex.triangles for e in ((a, v), (v, b), (a, b))}
+    return normalize_factorization(
+        w if (a, b) in tree or (a, b) in faces else 0 for a, b, w in complex.edges
+    )
+
+
+def discriminate_trees_oracle(complex: WeightedComplex, trees):
+    """Invariants and abelianization flag of ``discriminate_trees`` the
+    long way: a copy of the complex carrying each tree, classified, and
+    every copy abelianized once any of them fails the exactly-two
+    condition."""
+    variants = [complex.with_tree(t.edges) for t in trees]
+    try:
+        return tuple(classify_oracle(v) for v in variants), False
+    except ConditionFailed:
+        return tuple(abelianization(v) for v in variants), True
+
+
 RELATION_MATRIX_KINDS = ("plain", "no-units", "zero-lines", "empty", "duplicate-rows",
                          "huge", "sparse")
 
@@ -299,6 +329,43 @@ def complexes(draw, max_vertices=6):
         uf = UnionFind(n)
         tree = [e for e in draw(st.permutations(keys)) if uf.union(*e)]
     return WeightedComplex(tuple(labels), tuple(edges), tuple(triangles), tree)
+
+
+@st.composite
+def complexes_with_trees(draw, max_vertices=6):
+    """A connected complex on up to max_vertices vertices with one to four
+    random maximal trees.  Its triangles are none, every closed triangle
+    with exactly two edges in each drawn tree (no tree fails the
+    exactly-two condition), or any closed triangles (some tree may fail,
+    which sends discriminate_trees to abelianization).  The stored tree,
+    which discrimination ignores, is absent or the last drawn tree."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    if draw(st.booleans()):
+        keys = set(pairs)  # complete, so that most triples close a triangle
+    else:
+        keys = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+        if pairs:
+            keys |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    keys = sorted(keys)
+    edges = [(a, b, draw(st.integers(-6, 6))) for a, b in keys]
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        uf = UnionFind(n)
+        trees.append(tuple(e for e in draw(st.permutations(keys)) if uf.union(*e)))
+    closed = [(a, v, b) for a, v, b in itertools.combinations(range(n), 3)
+              if {(a, v), (v, b), (a, b)} <= set(keys)]
+    mode = draw(st.sampled_from(["graph", "exactly-two", "any"]))
+    if mode == "graph" or not closed:
+        triangles = []
+    elif mode == "exactly-two":
+        triangles = [(a, v, b) for a, v, b in closed
+                     if all(sum(e in t for e in ((a, v), (v, b), (a, b))) == 2 for t in trees)]
+    else:
+        triangles = draw(st.lists(st.sampled_from(closed), min_size=1, unique=True))
+    stored = draw(st.sampled_from([None, trees[-1]]))
+    K = WeightedComplex(tuple(f"v{i}" for i in range(n)), tuple(edges), tuple(triangles), stored)
+    return K, [SpanningTree(t, "given") for t in trees]
 
 
 def documents(max_vertices=6):

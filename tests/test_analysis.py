@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from wfg import analysis
 from wfg.analysis import (
@@ -17,7 +18,12 @@ from wfg.complexes import SpanningTree, WeightedComplex, complex_from_json, vali
 from wfg.errors import BadTree, ConditionFailed, NotAGraph, NotNested, TooLarge
 from wfg.invariants import abelianization, classify
 
-from helpers import check_filtration_conservation, load_figure
+from helpers import (
+    check_filtration_conservation,
+    complexes_with_trees,
+    discriminate_trees_oracle,
+    load_figure,
+)
 
 FIGURE5 = filtration_from_json(load_figure("figure5-filtration.json"))
 
@@ -175,6 +181,17 @@ class TestDiscriminateTrees:
         K = WeightedComplex(("v0", "v1"), ((0, 1, 3),))
         report = discriminate_trees(K, [SpanningTree(((0, 1),), "given")])
         assert not report.distinguishable
+
+    @settings(max_examples=200)
+    @given(case=complexes_with_trees())
+    def test_matches_per_tree_oracle(self, case):
+        K, trees = case
+        report = discriminate_trees(K, trees)
+        invariants, used_abelianization = discriminate_trees_oracle(K, trees)
+        assert report.invariants == invariants
+        assert report.used_abelianization == used_abelianization
+        assert report.distinguishable == (len(set(invariants)) > 1)
+        assert report.trees == tuple(trees)
 
     def test_bad_tree_rejected(self):
         with pytest.raises(BadTree):

@@ -252,6 +252,63 @@ class TestLcsRankBound:
         cli._check_rank_digits(0, 10 ** 9)
 
 
+class TestFactorDigitBound:
+    """Coprime weights 10^2999 and 10^2999 + 1 on two edges meeting at a
+    vertex give a factor of their product, 5,999 digits: past what Python
+    writes as text."""
+
+    BIG = (10 ** 2999, 10 ** 2999 + 1)
+
+    @classmethod
+    def documents(cls):
+        a, b = cls.BIG
+
+        def complex_doc(labels, edges, tree=None, triangles=()):
+            doc = {"vertices": labels, "edges": [{"a": x, "b": y, "w": w} for x, y, w in edges],
+                   "triangles": [list(t) for t in triangles]}
+            if tree is not None:
+                doc["tree"] = [list(e) for e in tree]
+            return doc
+
+        star = complex_doc(["c", "x", "y"], [(0, 1, a), (0, 2, b)])
+        path = complex_doc(["x", "c", "y"], [(0, 1, a), (1, 2, b)], [(0, 1), (1, 2)])
+        cover = {"L": path,
+                 "K1": complex_doc(["x", "c"], [(0, 1, a)], [(0, 1)]),
+                 "K2": complex_doc(["c", "y"], [(0, 1, b)], [(0, 1)]),
+                 "K0": complex_doc(["c"], [], [])}
+        # The star again, beside a triangle with one tree edge, so that the
+        # stage fails the exactly-two condition and is abelianized.
+        stage = complex_doc(list("cxyuvw"),
+                            [(0, 1, a), (0, 2, b), (0, 3, 1), (2, 5, 1), (3, 4, 1), (3, 5, 1),
+                             (4, 5, 1)],
+                            [(0, 1), (0, 2), (0, 3), (2, 5), (3, 4)], [(3, 4, 5)])
+        return {
+            "abelianize-star": ("abelianize", star, []),
+            "homology-path": ("homology", path, []),
+            "homology-star": ("homology", star, []),
+            "vankampen": ("vankampen", cover, []),
+            "filtration": ("filtration", {"stages": [stage]}, ["--fallback-abelian"]),
+        }
+
+    @pytest.mark.parametrize("case", ["abelianize-star", "homology-path", "homology-star",
+                                      "vankampen", "filtration"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_exits_2_before_any_output(self, capsys, tmp_path, case, as_json):
+        verb, doc, flags = self.documents()[case]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, verb, str(path), *flags, *(["--json"] if as_json else []))
+        assert (code, out) == (2, "")
+        assert err == ("error: a group factor has more than 4300 decimal digits "
+                       "and cannot be printed\n")
+
+    def test_bound_is_10_to_the_digit_limit(self):
+        cli._check_factor_digits([10 ** 4300 - 1, -(10 ** 4300 - 1), 0])
+        for factor in (10 ** 4300, -(10 ** 4300)):
+            with pytest.raises(TooLarge):
+                cli._check_factor_digits([2, factor])
+
+
 @pytest.mark.parametrize("verb", VERBS)
 @settings(max_examples=40)
 @given(doc=documents(), tree=st.sampled_from([None, "bfs", "kruskal-min", "kruskal-max"]))
@@ -298,6 +355,17 @@ class TestJsonOutput:
         doc = json.loads(out)
         assert doc["stages"] == [[0, 2, 2], [0, 0, 2, 2, 3, 3], [0, 2, 2, 2, 3, 3]]
         assert {"stage": 2, "kind": "birth", "factor": 2, "region": "left"} in doc["events"]
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_stream_is_one_indented_document(self, capsys, verb):
+        # On the figures every exit 1 or 2 is an error line on stderr.
+        for path in sorted(FIGURES.glob("*.json")):
+            code, out, err = run(capsys, verb, str(path), "--json")
+            if code == 0:
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            else:
+                assert code in (1, 2) and out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_text_and_json_numeric_agreement(self, capsys):
         for verb, render in (

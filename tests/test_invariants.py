@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from wfg.complexes import WeightedComplex, complex_from_json
 from wfg.errors import (
@@ -33,6 +34,9 @@ from helpers import (
     check_realize_roundtrip,
     check_relabel_invariance,
     check_sign_flip_invariance,
+    classify_oracle,
+    complexes,
+    complexes_with_trees,
     dense_abelian_group,
     diagonal_group,
     grid_skeleton,
@@ -67,6 +71,17 @@ class TestNormalizeFactorization:
     def test_rendering_zeros_first(self):
         assert str(normalize_factorization([4, 0, 2])) == "Z * Z/2 * Z/4"
 
+    @pytest.mark.parametrize("orders, bad", [
+        ((0, 1), 1), ((2, -1), -1), ((1, -3, 0), -3), ((True,), 1),
+    ])
+    def test_unnormalized_orders_rejected(self, orders, bad):
+        with pytest.raises(ValueError, match=f"cyclic order {bad} is not normalized"):
+            CyclicFactorization(orders)
+
+    def test_orders_become_sorted_ints(self):
+        assert CyclicFactorization((3.0, False, 2)).orders == (0, 2, 3)
+        assert type(CyclicFactorization((3.0,)).orders[0]) is int
+
 
 class TestExactlyTwo:
     def test_graphs_vacuously_satisfy(self):
@@ -99,6 +114,32 @@ class TestClassify:
             classify(FIGURE3)
         assert err.value.triangle == (1, 3, 4)
         assert "(v1,v3,v4)" in str(err.value)
+
+    @given(K=complexes())
+    def test_matches_oracle_on_any_stored_tree(self, K):
+        # Stored trees here may be partial, cyclic or missing vertices.
+        self.check_against_oracle(K)
+
+    @given(case=complexes_with_trees())
+    def test_matches_oracle_on_maximal_trees(self, case):
+        K, trees = case
+        for t in trees:
+            self.check_against_oracle(K.with_tree(t.edges))
+
+    @staticmethod
+    def check_against_oracle(K):
+        if K.tree is None:
+            with pytest.raises(MissingTree):
+                classify(K)
+            return
+        try:
+            expected = classify_oracle(K)
+        except ConditionFailed as err:
+            with pytest.raises(ConditionFailed) as got:
+                classify(K)
+            assert (str(got.value), got.value.triangle) == (str(err), err.triangle)
+        else:
+            assert classify(K) == expected
 
     def test_graph_formula(self):
         # E - V + 1 free factors plus the nontrivial |w| of tree edges.
