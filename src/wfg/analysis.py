@@ -136,34 +136,32 @@ def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[SpanningTree]:
     n = len(complex.vertices)
     if n > HAMILTONIAN_VERTEX_LIMIT:
         raise TooLarge(f"{n} vertices exceeds the limit of {HAMILTONIAN_VERTEX_LIMIT}")
-    adjacency = complex.adjacency
+    full = (1 << n) - 1
+    # (neighbour, its bit, the edge key to it) for each vertex.
+    steps = [tuple((u, 1 << u, (min(u, v), max(u, v))) for u in complex.adjacency[v])
+             for v in range(n)]
     found: list[tuple[tuple[int, int], ...]] = []
-    path = []
-    visited = [False] * n
+    path: list[tuple[int, int]] = []  # edge keys of the current path
     count = 0
 
-    def extend(v: int):
+    def extend(v: int, visited: int):
         nonlocal count
         count += 1
         if count > HAMILTONIAN_PATH_BUDGET:
             raise TooLarge(f"Hamiltonian enumeration stopped at {count} partial "
                            f"paths, past the budget of {HAMILTONIAN_PATH_BUDGET}")
-        path.append(v)
-        visited[v] = True
-        if len(path) == n:
-            if path[0] <= path[-1]:  # equal only for the one-vertex path
-                found.append(tuple(sorted(
-                    (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
-                )))
-        else:
-            for u in adjacency[v]:
-                if not visited[u]:
-                    extend(u)
-        path.pop()
-        visited[v] = False
+        if visited == full:
+            if start <= v:  # equal only for the one-vertex path
+                found.append(tuple(sorted(path)))
+            return
+        for u, bit, key in steps[v]:
+            if not visited & bit:
+                path.append(key)
+                extend(u, visited | bit)
+                path.pop()
 
     for start in range(n):
-        extend(start)
+        extend(start, 1 << start)
     return [SpanningTree(edges, "given") for edges in sorted(found)]
 
 

@@ -129,13 +129,7 @@ def _need_complex(value, verb):
 
 def _emit(payload, text, as_json: bool):
     """Write the report; only the form asked for needs to be built."""
-    if as_json:
-        # Streamed chunk by chunk: the joined document of a large
-        # hamiltonian report would be held in memory at once.
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2) if as_json else text)
 
 
 def run(argv) -> int:
@@ -221,21 +215,15 @@ def run(argv) -> int:
     if verb == "hamiltonian":
         trees = enumerate_hamiltonian_trees(complex)
         report = discriminate_trees(complex, trees)
+        write = sys.stdout.write
         if args.as_json:
-            _emit({
-                "count": len(trees),
-                "trees": [t.edges for t in trees],  # tuples encode as arrays
-                "invariants": [str(inv) for inv in report.invariants],
-                "used_abelianization": report.used_abelianization,
-                "distinguishable": report.distinguishable,
-            }, None, True)
+            _write_hamiltonian_json(write, complex.edge_keys, report)
             return 0
-        lines = [f"{len(trees)} Hamiltonian tree(s)"]
+        label = {e: "{}-{}".format(*complex.edge_labels(e)) for e in complex.edge_keys}
+        write(f"{len(trees)} Hamiltonian tree(s)\n")
         for tree, inv in zip(trees, report.invariants):
-            edges = ", ".join("{}-{}".format(*complex.edge_labels(e)) for e in tree.edges)
-            lines.append(f"  [{edges}] -> {inv}")
-        lines.append(f"distinguishable: {report.distinguishable}")
-        _emit(None, "\n".join(lines), False)
+            write(f"  [{', '.join([label[e] for e in tree.edges])}] -> {inv}\n")
+        write(f"distinguishable: {report.distinguishable}\n")
         return 0
 
     raise AssertionError(f"unhandled verb {verb}")
@@ -266,6 +254,38 @@ def _check_max_n(max_n: int):
     if max_n > MAX_N_LIMIT:
         raise TooLarge(f"--max-n {max_n} is past the limit of {MAX_N_LIMIT}; "
                        "lower --max-n")
+
+
+def _write_hamiltonian_json(write, edge_keys, report):
+    """Stream the ``hamiltonian --json`` report exactly as
+    ``json.dump(payload, indent=2)`` lays it out, without the standard
+    library's pure-Python indent encoder (about half of each op on K8):
+    the shape is fixed, so each edge's fragment is built once and each
+    tree is one join."""
+    edge = {e: _json_array(map(str, e), 3) for e in edge_keys}
+    write(f'{{\n  "count": {len(report.trees)},\n  "trees": ')
+    _write_json_array(write, (_json_array([edge[e] for e in t.edges], 2)
+                              for t in report.trees))
+    write(',\n  "invariants": ')
+    _write_json_array(write, (json.dumps(str(inv)) for inv in report.invariants))
+    write(f',\n  "used_abelianization": {json.dumps(report.used_abelianization)},'
+          f'\n  "distinguishable": {json.dumps(report.distinguishable)}\n}}\n')
+
+
+def _json_array(items, depth: int) -> str:
+    """An ``indent=2`` JSON array of encoded items, nested ``depth`` deep."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
+
+
+def _write_json_array(write, items):
+    """``_json_array`` of a top-level key's value, written item by item."""
+    opener = "[\n    "
+    for item in items:
+        write(opener + item)
+        opener = ",\n    "
+    write("[]" if opener == "[\n    " else "\n  ]")
 
 
 def _ranks_text(ranks) -> str:

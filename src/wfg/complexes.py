@@ -34,21 +34,26 @@ class UnionFind:
         self.parent = list(range(n))
         self.components = n
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
     def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        self.components -= 1
-        return True
+        return self.union_all(((x, y),))
+
+    def union_all(self, pairs) -> bool:
+        """Union every pair; False when some pair's ends already met.  The
+        root search is inlined (with path halving): a per-pair method call
+        would cost more than the search on trees of a few edges."""
+        parent = self.parent
+        joined = True
+        for x, y in pairs:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x == y:
+                joined = False
+            else:
+                parent[x] = y
+                self.components -= 1
+        return joined
 
 
 @dataclass(frozen=True)
@@ -127,10 +132,12 @@ class ValidationReport:
 def _tree_violations(n: int, known_edges: set[EdgeKey], tree) -> list[tuple[str, str]]:
     """Why an edge set is not a maximal tree on n vertices whose edges are
     ``known_edges``; empty when it is one."""
-    v = [("tree-unknown-edge", f"tree edge {e} is not an edge of the complex")
-         for e in tree if e not in known_edges]
+    known = [e for e in tree if e in known_edges]
+    v = [] if len(known) == len(tree) else [
+        ("tree-unknown-edge", f"tree edge {e} is not an edge of the complex")
+        for e in tree if e not in known_edges]
     uf = UnionFind(n)
-    if not all([uf.union(a, b) for a, b in tree if (a, b) in known_edges]):
+    if not uf.union_all(known):
         v.append(("tree-cycle", "tree edges contain a cycle"))
     if len(tree) != n - 1 or uf.components > 1:
         v.append(("tree-not-spanning", "tree does not span every vertex"))
@@ -180,8 +187,7 @@ def validate(complex: WeightedComplex) -> ValidationReport:
                 )
 
     skeleton = UnionFind(n)
-    for a, b in good_edges:
-        skeleton.union(a, b)
+    skeleton.union_all(good_edges)
     if skeleton.components > 1:
         v.append(("connected", "the 1-skeleton is not path-connected"))
 

@@ -34,16 +34,19 @@ class CyclicFactorization:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(sorted(map(int, self.orders)))
-        object.__setattr__(self, "orders", orders)
+        raw = tuple(self.orders)
+        # Only the finite orders go through int(): a path tree of K9 has
+        # 28 zeros beside its 8 finite orders.
+        finite = sorted(map(int, filter(None, raw)))
+        object.__setattr__(self, "orders", (0,) * raw.count(0) + tuple(finite))
         # Sorted, so a negative order comes first.
-        if (orders and orders[0] < 0) or 1 in orders:
-            m = orders[0] if orders[0] < 0 else 1
+        if (finite and finite[0] < 0) or 1 in finite:
+            m = finite[0] if finite[0] < 0 else 1
             raise ValueError(f"cyclic order {m} is not normalized")
 
     @property
     def free_count(self) -> int:
-        return sum(1 for m in self.orders if m == 0)
+        return self.orders.count(0)
 
     def as_abelian(self) -> AbelianGroup:
         return AbelianGroup.from_cyclic_orders(self.orders)
@@ -51,7 +54,8 @@ class CyclicFactorization:
     def __str__(self):
         if not self.orders:
             return "1"
-        return " * ".join("Z" if m == 0 else f"Z/{m}" for m in self.orders)
+        z = self.free_count  # the zeros come first
+        return " * ".join(["Z"] * z + [f"Z/{m}" for m in self.orders[z:]])
 
 
 def normalize_factorization(raw: Iterable[int]) -> CyclicFactorization:

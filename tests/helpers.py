@@ -267,6 +267,37 @@ def discriminate_trees_oracle(complex: WeightedComplex, trees):
         return tuple(abelianization(v) for v in variants), True
 
 
+def hamiltonian_trees_oracle(complex: WeightedComplex):
+    """Sorted edge lists of the Hamiltonian-path trees of a graph and the
+    number of partial paths the search visits, by plain recursion over a
+    visited list: the reference for ``enumerate_hamiltonian_trees``, whose
+    budget counts the same partial paths."""
+    n = len(complex.vertices)
+    found, path, visited = [], [], [False] * n
+    count = 0
+
+    def extend(v: int):
+        nonlocal count
+        count += 1
+        path.append(v)
+        visited[v] = True
+        if len(path) == n:
+            if path[0] <= path[-1]:  # equal only for the one-vertex path
+                found.append(tuple(sorted(
+                    (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
+                )))
+        else:
+            for u in complex.adjacency[v]:
+                if not visited[u]:
+                    extend(u)
+        path.pop()
+        visited[v] = False
+
+    for start in range(n):
+        extend(start)
+    return sorted(found), count
+
+
 RELATION_MATRIX_KINDS = ("plain", "no-units", "zero-lines", "empty", "duplicate-rows",
                          "huge", "sparse")
 

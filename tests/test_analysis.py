@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from helpers import (
     check_filtration_conservation,
     complexes_with_trees,
     discriminate_trees_oracle,
+    hamiltonian_trees_oracle,
     load_figure,
 )
 
@@ -142,6 +144,38 @@ class TestEnumerateHamiltonianTrees:
         monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", 13_698)
         with pytest.raises(TooLarge, match="13698"):
             enumerate_hamiltonian_trees(K7)
+
+    def test_budget_counts_dead_ends(self, monkeypatch):
+        # Unlike K7, the Petersen graph's search backtracks out of dead
+        # ends: 120 trees from 2,740 partial paths.
+        keys = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        petersen = WeightedComplex(tuple(f"v{i}" for i in range(10)),
+                                   tuple((min(e), max(e), 1) for e in keys))
+        monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", 2_740)
+        assert len(enumerate_hamiltonian_trees(petersen)) == 120
+        monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", 2_739)
+        with pytest.raises(TooLarge, match="2740"):
+            enumerate_hamiltonian_trees(petersen)
+
+    def test_matches_recursive_oracle(self, monkeypatch):
+        # A budget of exactly the oracle's count passes and one less stops
+        # at that count, so the partial paths are counted alike too.
+        rng = random.Random(606)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            p = rng.choice((0.25, 0.5, 0.75))
+            K = WeightedComplex(
+                tuple(f"v{i}" for i in range(n)),
+                tuple((a, b, 1) for a, b in itertools.combinations(range(n), 2)
+                      if rng.random() < p),
+            )
+            trees, count = hamiltonian_trees_oracle(K)
+            monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", count)
+            assert [t.edges for t in enumerate_hamiltonian_trees(K)] == trees
+            monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", count - 1)
+            with pytest.raises(TooLarge, match=f"stopped at {count} partial"):
+                enumerate_hamiltonian_trees(K)
 
 
 class TestDiscriminateTrees:

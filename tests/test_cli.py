@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from wfg import cli
 from wfg.cli import main, parse_input
-from wfg.complexes import WeightedComplex
+from wfg.complexes import WeightedComplex, complex_to_json
 from wfg.errors import ParseError, SchemaError, TooLarge
 from wfg.vankampen import CoverSpec
-from wfg.analysis import Filtration
+from wfg.analysis import Filtration, discriminate_trees, enumerate_hamiltonian_trees
 
-from helpers import FIGURES, VERBS, documents, load_figure
+from helpers import FIGURES, VERBS, documents, load_figure, random_connected_graph
 
 
 def fig(name):
@@ -380,3 +381,49 @@ class TestJsonOutput:
         _, json_out, _ = run(capsys, "classify", fig("figure1.json"), "--json")
         doc = json.loads(json_out)
         assert doc["factors"] == [0, 2, 4]
+
+
+class TestHamiltonianReport:
+    """``hamiltonian`` writes its report by hand; both forms must match the
+    payload and lines built from the library calls."""
+
+    @staticmethod
+    def check(capsys, tmp_path, K):
+        trees = enumerate_hamiltonian_trees(K)
+        report = discriminate_trees(K, trees)
+        payload = {
+            "count": len(trees),
+            "trees": [t.edges for t in trees],
+            "invariants": [str(inv) for inv in report.invariants],
+            "used_abelianization": report.used_abelianization,
+            "distinguishable": report.distinguishable,
+        }
+        lines = [f"{len(trees)} Hamiltonian tree(s)"]
+        for tree, inv in zip(trees, report.invariants):
+            edges = ", ".join("{}-{}".format(*K.edge_labels(e)) for e in tree.edges)
+            lines.append(f"  [{edges}] -> {inv}")
+        lines.append(f"distinguishable: {report.distinguishable}")
+
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(complex_to_json(K)), encoding="utf-8")
+        code, out, err = run(capsys, "hamiltonian", str(path), "--json")
+        assert (code, err) == (0, "") and out == json.dumps(payload, indent=2) + "\n"
+        code, text, err = run(capsys, "hamiltonian", str(path))
+        assert (code, err) == (0, "") and text == "\n".join(lines) + "\n"
+        return out
+
+    def test_one_vertex_tree_is_empty(self, capsys, tmp_path):
+        out = self.check(capsys, tmp_path, WeightedComplex(("a",), ()))
+        assert '"trees": [\n    []\n  ]' in out
+        assert json.loads(out)["invariants"] == ["1"]
+
+    def test_star_has_no_path(self, capsys, tmp_path):
+        star = WeightedComplex(("c", "x", "y", "z"), ((0, 1, 2), (0, 2, 3), (0, 3, -1)))
+        out = self.check(capsys, tmp_path, star)
+        assert '"count": 0,\n  "trees": [],\n  "invariants": [],' in out
+
+    def test_random_graphs(self, capsys, tmp_path):
+        # Weights in -2..2: zero, unit and repeated |w| factors.
+        rng = random.Random(6)
+        for _ in range(50):
+            self.check(capsys, tmp_path, random_connected_graph(rng, 2, 8, (-2, 2)))
