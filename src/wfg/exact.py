@@ -5,6 +5,12 @@ with Smith normal form, finitely generated abelian groups in invariant
 factor form with a sparse kernel that finds them from a relation matrix,
 and the Moebius function.  No floating point appears on any
 computation path.
+
+The sparse kernel picks its pivots from a heap with one key per row: the
+least (|value|, Markowitz cost, row, column) over the row's entries.  The
+least row key is the least entry key, so the pivots are those of a heap
+with one key per entry, while a step pushes keys only for the rows whose
+key it changed.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import NonPositive, ShapeMismatch
@@ -33,7 +40,7 @@ class IntegerMatrix:
                 f"{self.rows}x{self.cols} matrix needs "
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -115,12 +122,11 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     (ties broken by position) to (t, t) and clears row t and column t by
     integer division.  Remainders can only sit in that row and column, so
     the next pivot is picked from there alone; |pivot| strictly shrinks.
-    The pairwise gcd/lcm pass of ``AbelianGroup.from_cyclic_orders`` then
-    makes the diagonal a divisor chain: while d_i does not divide d_j
-    (i < j), adding row j to row i and clearing row and column i again
-    leaves gcd(d_i, d_j) at (i, i) and lcm(d_i, d_j) at (j, j), with U and
-    V kept exact.  The diagonal ends nonnegative with d1 | d2 | ... ; it is
-    the unique Smith form of A.
+    A pairwise gcd/lcm pass then makes the diagonal a divisor chain:
+    while d_i does not divide d_j (i < j), adding row j to row i and
+    clearing row and column i again leaves gcd(d_i, d_j) at (i, i) and
+    lcm(d_i, d_j) at (j, j), with U and V kept exact.  The diagonal ends
+    nonnegative with d1 | d2 | ... ; it is the unique Smith form of A.
     """
     m, n = A.rows, A.cols
     M = A.to_rows()
@@ -214,16 +220,24 @@ class AbelianGroup:
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":
         """Direct sum of cyclic groups (order 0 meaning Z), recombined into
-        invariant factors by the gcd/lcm normalization
-        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), applied pairwise so that
-        each order ends up dividing every later one."""
+        invariant factors by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  Each
+        order is inserted into the divisor chain built so far, walking down
+        from its largest factor d: d becomes lcm(d, carry) and the carry
+        gcd(d, carry), until the carry is 1; a carry left over becomes the
+        new smallest factor.  For each prime this is an insertion sort of
+        the exponents, so the chain is the unique invariant-factor form."""
         orders = [abs(int(m)) for m in orders]
-        finite = [m for m in orders if m != 0]
-        for i in range(len(finite)):
-            for j in range(i + 1, len(finite)):
-                a, b = finite[i], finite[j]
-                finite[i], finite[j] = math.gcd(a, b), math.lcm(a, b)
-        return cls(orders.count(0), tuple(m for m in finite if m != 1))
+        chain: list[int] = []  # largest factor first
+        for carry in orders:
+            if carry == 0:
+                continue
+            for j, d in enumerate(chain):
+                if carry == 1:
+                    break
+                chain[j], carry = math.lcm(d, carry), math.gcd(d, carry)
+            if carry != 1:
+                chain.append(carry)
+        return cls(orders.count(0), tuple(reversed(chain)))
 
     def __str__(self):
         parts = []
@@ -242,46 +256,62 @@ def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGro
     U and V would only name its generators.  So no transform is kept, and
     a sparse elimination works on the nonzeros: one dict {column: value}
     per row, and the set of rows that use each column.  Each step pivots
-    on the entry of least |value|, then least Markowitz cost (r-1)(c-1)
-    for r nonzeros in its row and c in its column, then least position, so
-    unit pivots come first.  A heap holds every entry under that key and
-    is refreshed for the rows and columns each step touches.  Row
-    operations reduce the pivot column modulo the pivot p.  Once the
-    column is clear, a column operation changes the pivot row alone, so
-    the row is reduced modulo p in place; if nothing is left but p, row
-    and column split off as the diagonal entry |p|.  A unit pivot always
-    splits, which is the matrix form of the Tietze move in
-    ``presentation.simplify``.  Any remainder is smaller than |p|, so the
-    least |entry| strictly falls until the next split.  The 1s are then
-    dropped and the rest recombined into invariant factors by the gcd/lcm
-    pass of ``AbelianGroup.from_cyclic_orders``.
+    on the entry of least key (|value|, Markowitz cost (r-1)(c-1) for r
+    nonzeros in its row and c in its column, row, column), so unit pivots
+    come first.  The heap holds one key per row, the least key of its
+    entries, and ``current`` maps each row to its live key; a popped key
+    that is not the live one is stale and skipped.  An entry's key changes
+    only when its row changes or its column gains or loses a user, so
+    after each step only the changed rows are scanned again, and the
+    other users of a column whose count changed compare the key of their
+    entry in it with their row key.  A key is pushed only when it changed.
+    The least row key is the least entry key, so the pivots are exactly
+    those of a heap holding every entry.  Row operations reduce the pivot
+    column modulo the pivot p.  Once the column is clear, a column
+    operation changes the pivot row alone, so the row is reduced modulo p
+    in place; if nothing is left but p, row and column split off as the
+    diagonal entry |p|.  A unit pivot always splits, which is the matrix
+    form of the Tietze move in ``presentation.simplify``.  Any remainder
+    is smaller than |p|, so the least |entry| strictly falls until the
+    next split.  The 1s are then dropped and the rest recombined into
+    invariant factors by ``AbelianGroup.from_cyclic_orders``.
     """
     if A.cols != n_generators:
         raise ShapeMismatch(
             f"relation matrix has {A.cols} columns but there are {n_generators} generators"
         )
+    n = A.cols
+    positions = range(n)
     rows: dict[int, dict[int, int]] = {}
-    users: list[set[int]] = [set() for _ in range(A.cols)]
+    users: list[set[int]] = [set() for _ in positions]
     for i in range(A.rows):
-        row = {j: x for j, x in enumerate(A.entries[i * A.cols:(i + 1) * A.cols]) if x}
+        line = A.entries[i * n:(i + 1) * n]
+        row = dict(zip(compress(positions, line), filter(None, line)))
         if row:
             rows[i] = row
             for j in row:
                 users[j].add(i)
 
-    def key(i, j):
-        return (abs(rows[i][j]), (len(rows[i]) - 1) * (len(users[j]) - 1), i, j)
+    def key(i):
+        row = rows[i]
+        # Within one row the cost (len(row) - 1)(c - 1) orders as c does.
+        size, count, j = min((abs(x), len(users[j]), j) for j, x in row.items())
+        return (size, (len(row) - 1) * (count - 1), i, j)
 
-    heap = [key(i, j) for i, row in rows.items() for j in row]
+    current = {i: key(i) for i in rows}
+    heap = list(current.values())
     heapq.heapify(heap)
     orders = []
     while heap:
         entry = heapq.heappop(heap)
         r, c = entry[2:]
-        if r not in rows or c not in rows[r] or key(r, c) != entry:
-            continue  # a later push holds this entry's current key
+        if current.get(r) is not entry:
+            continue  # a later push holds this row's live key
+        del current[r]
         pivot = rows[r]
         p = pivot[c]
+        columns = list(pivot)
+        counts = [len(users[j]) for j in columns]
         touched = {r}
         for i in users[c] - touched:
             row = rows[i]
@@ -297,7 +327,6 @@ def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGro
             if not row:
                 del rows[i]
             touched.add(i)
-        columns = list(pivot)
         if len(users[c]) == 1:
             # Column c is clear, so a column operation changes row r alone.
             for j in columns:
@@ -310,14 +339,31 @@ def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGro
                 orders.append(abs(p))
                 del rows[r]
                 users[c].clear()
-        # Keys changed only in the touched rows and the pivot row's columns.
+        # In an untouched row only the entry in column j changed its key.
+        # A cheaper entry may become the row key; a dearer one matters only
+        # if it was the row key, and then the row is scanned again.
+        for j, count in zip(columns, counts):
+            now = len(users[j])
+            if now == count:
+                continue
+            for i in users[j] - touched:
+                if now > count:
+                    if current[i][3] == j:
+                        touched.add(i)
+                    continue
+                row = rows[i]
+                k = (abs(row[j]), (len(row) - 1) * (now - 1), i, j)
+                if k < current[i]:
+                    current[i] = k
+                    heapq.heappush(heap, k)
         for i in touched:
             if i in rows:
-                for j in rows[i]:
-                    heapq.heappush(heap, key(i, j))
-        for j in columns:
-            for i in users[j] - touched:
-                heapq.heappush(heap, key(i, j))
+                k = key(i)
+                if current.get(i) != k:
+                    current[i] = k
+                    heapq.heappush(heap, k)
+            else:
+                current.pop(i, None)
     torsion = [d for d in orders if d != 1]
     return AbelianGroup.from_cyclic_orders([0] * (n_generators - len(orders)) + torsion)
 

@@ -174,7 +174,7 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
         entries[i * n_v + b] += w
     # The boundary and its transpose share one Smith diagonal, so the rank
     # that H1 needs is read off the cokernel H0: rank = n_v - free rank.
-    h0 = abelian_group_from_matrix(IntegerMatrix(n_e, n_v, tuple(entries)), n_v)
+    h0 = abelian_group_from_matrix(IntegerMatrix(n_e, n_v, entries), n_v)
     h1 = AbelianGroup(n_e - (n_v - h0.free_rank))
     return WeightedHomology(h0=h0, h1=h1)
 

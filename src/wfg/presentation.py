@@ -143,13 +143,12 @@ def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
     """One row per relator, one column per generator, entries the signed
     exponent sums."""
     cols = len(p.generators)
-    entries = []
-    for word in p.relators:
-        row = [0] * cols
+    entries = [0] * (len(p.relators) * cols)
+    for i, word in enumerate(p.relators):
+        base = i * cols
         for g, e in word:
-            row[g] += e
-        entries.extend(row)
-    return IntegerMatrix(len(p.relators), cols, tuple(entries))
+            entries[base + g] += e
+    return IntegerMatrix(len(p.relators), cols, entries)
 
 
 def abelianized_group(p: Presentation) -> AbelianGroup:

@@ -232,6 +232,20 @@ def dense_abelian_group(A: IntegerMatrix, n_generators: int) -> AbelianGroup:
     return diagonal_group(smith_normal_form(A).diagonal(), n_generators)
 
 
+def cyclic_orders_oracle(orders) -> AbelianGroup:
+    """Invariant factors of a direct sum of cyclic groups (order 0 meaning
+    Z) by the pairwise pass: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) for
+    every pair i < j in turn, so each order ends up dividing every later
+    one."""
+    orders = [abs(m) for m in orders]
+    finite = [m for m in orders if m != 0]
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            a, b = finite[i], finite[j]
+            finite[i], finite[j] = math.gcd(a, b), math.lcm(a, b)
+    return AbelianGroup(orders.count(0), tuple(m for m in finite if m != 1))
+
+
 def diagonal_group(diag, n_generators: int) -> AbelianGroup:
     """Z^n_generators modulo the diagonal relations d_i * e_i."""
     rank = sum(1 for d in diag if d != 0)
@@ -669,12 +683,23 @@ def _grid(k: int, weight):
     return labels, edges, triangles
 
 
-def triangulated_grid(rng, k: int) -> WeightedComplex:
-    """The triangulated k x k grid, weights in [-5, 5], breadth-first tree."""
-    labels, edges, triangles = _grid(k, lambda: rng.randint(-5, 5))
+def _triangulated_grid(k: int, weight) -> WeightedComplex:
+    labels, edges, triangles = _grid(k, weight)
     K = WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()),
                         tuple(triangles))
     return K.with_tree(compute_maximal_tree(K, "bfs").edges)
+
+
+def triangulated_grid(rng, k: int) -> WeightedComplex:
+    """The triangulated k x k grid, weights in [-5, 5], breadth-first tree."""
+    return _triangulated_grid(k, lambda: rng.randint(-5, 5))
+
+
+def big_weight_grid(rng, k: int) -> WeightedComplex:
+    """The triangulated k x k grid with weights in 2..10^6, breadth-first
+    tree: no entry is a unit, and the elimination's entries grow to
+    hundreds of bits."""
+    return _triangulated_grid(k, lambda: rng.randint(2, 10 ** 6))
 
 
 def grid_skeleton(rng, k: int) -> WeightedComplex:

@@ -19,6 +19,7 @@ from helpers import (
     RationalSeries,
     binomial_series,
     check_snf_contract,
+    cyclic_orders_oracle,
     dense_abelian_group,
     diagonal_group,
     mobius_oracle,
@@ -44,6 +45,11 @@ class TestIntegerMatrix:
         a = IntegerMatrix.from_rows([[1, 2]])
         with pytest.raises(ShapeMismatch):
             a.mul(a)
+
+    def test_entries_stored_as_exact_ints(self):
+        A = IntegerMatrix(2, 2, [True, False, 3, -2 ** 70])
+        assert A.entries == (1, 0, 3, -2 ** 70)
+        assert [type(x) for x in A.entries] == [int] * 4
 
     def test_determinant(self):
         assert IntegerMatrix.identity(3).determinant() == 1
@@ -209,6 +215,14 @@ class TestAbelianGroup:
         # Trial division would need ~1.5e9 steps for the Mersenne prime.
         p = 2 ** 61 - 1
         assert AbelianGroup.from_cyclic_orders([p, 6, 4]) == AbelianGroup(0, (2, 12 * p))
+
+    def test_from_cyclic_orders_agrees_with_pairwise_pass(self):
+        rng = random.Random(23)
+        pool = [0, 1, -1, 2, 3, 4, 6, 8, 9, 12, 30, 2 ** 61 - 1, 10 ** 30, -12]
+        for _ in range(300):
+            orders = [rng.choice(pool) if rng.random() < 0.7 else rng.randint(-10 ** 6, 10 ** 6)
+                      for _ in range(rng.randint(0, 10))]
+            assert AbelianGroup.from_cyclic_orders(orders) == cyclic_orders_oracle(orders)
 
     def test_from_cyclic_orders_agrees_with_snf_route(self):
         rng = random.Random(17)
