@@ -1,5 +1,13 @@
 """Command line front end.
 
+Each verb is one report function ``(document, args) -> (payload, text,
+exit code)``, bound to its subparser with ``set_defaults``. ``run`` reads
+and checks the document (``_document``), calls the report, and prints the
+payload as indented JSON with ``--json``, the text otherwise. A report
+that writes its own output (``hamiltonian`` streams its trees) returns
+``None`` once it has written. A complex that fails validation raises
+``_Invalid``, whose lines ``main`` writes to stderr.
+
 Exit codes: 0 success, 1 malformed input or failed validation, 2 violated
 mathematical precondition (for example the exactly-two condition).
 """
@@ -37,9 +45,6 @@ from .invariants import (
 from .presentation import present, presentation_to_json
 from .vankampen import CoverSpec, cover_from_json, verify_van_kampen
 
-COMPLEX_VERBS = ("validate", "tree", "present", "classify", "abelianize",
-                 "homology", "lcs", "hamiltonian")
-
 # Python converts no integer of more than this many decimal digits to text.
 RANK_DIGIT_LIMIT = 4300
 _DIGIT_BOUND = 10 ** RANK_DIGIT_LIMIT  # the least integer past the limit
@@ -67,6 +72,14 @@ def parse_input(path: str):
     return complex_from_json(doc)
 
 
+_TREE_HELP = {
+    "use": "build the tree with this strategy, ignoring (and not validating) "
+           "the document's tree; default: use the document's tree, else bfs",
+    "build": "the strategy of the tree to build (default bfs); a stored tree "
+             "is ignored",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfg",
@@ -74,43 +87,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, help_text, tree_flag=False):
+    def add(verb, help_text, report, kind=WeightedComplex, tree=None):
+        """``tree`` is "use" for a verb that needs the complex's tree (the
+        document's, else one built), "build" for one that builds its own."""
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(report=report, kind=kind, needs_tree=tree == "use")
         p.add_argument("input", help="path to a JSON input document")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit a machine-readable JSON report")
-        if tree_flag:
+        if tree:
             p.add_argument("--tree", choices=("bfs", "kruskal-min", "kruskal-max"),
-                           default=None,
-                           help="build the tree with this strategy, ignoring "
-                                "(and not validating) the document's tree; "
-                                "default: use the document's tree, else bfs")
+                           default=None, help=_TREE_HELP[tree])
         return p
 
-    add("validate", "check the structural invariants of a complex")
-    add("tree", "compute a maximal tree", tree_flag=True)
+    add("validate", "check the structural invariants of a complex", _validate_report)
+    add("tree", "compute a maximal tree", _tree_report, tree="build")
     add("present", "print the presentation of the weighted fundamental group",
-        tree_flag=True)
+        _present_report, tree="use")
     add("classify", "free product of cyclic groups (exactly-two condition)",
-        tree_flag=True)
+        _classify_report, tree="use")
     add("abelianize", "abelianization of the weighted fundamental group",
-        tree_flag=True)
-    add("homology", "weighted H0 and H1 of a graph")
+        _abelianize_report, tree="use")
+    add("homology", "weighted H0 and H1 of a graph", _homology_report)
     lcs = add("lcs", "free ranks of the lower central series quotients",
-              tree_flag=True)
+              _lcs_report, tree="use")
     lcs.add_argument("--max-n", type=int, default=6, dest="max_n",
                      help="compute R_1..R_N (default 6)")
     lcs.add_argument("--series-order", type=int, default=16, dest="series_order",
                      help="checked against --max-n; does not change the "
                           "result (default 16)")
-    add("vankampen", "check a two-piece cover and compare both presentations")
-    filtration = add("filtration", "birth/death events along a filtration")
+    add("vankampen", "check a two-piece cover and compare both presentations",
+        _vankampen_report, kind=CoverSpec)
+    filtration = add("filtration", "birth/death events along a filtration",
+                     _filtration_report, kind=Filtration)
     filtration.add_argument("--fallback-abelian", action="store_true",
                             dest="fallback_abelian",
                             help="diff abelianizations at stages failing "
                                  "the exactly-two condition")
-    add("hamiltonian", "enumerate Hamiltonian-path trees and discriminate them")
+    add("hamiltonian", "enumerate Hamiltonian-path trees and discriminate them",
+        _hamiltonian_report)
     return parser
+
+
+class _Invalid(Exception):
+    """Validation failures, one stderr line each; ``main`` exits 1."""
+
+
+def _require_valid(complex: WeightedComplex, prefix: str):
+    report = validate(complex)
+    if not report.ok:
+        raise _Invalid("\n".join(f"{prefix} [{r}]: {m}" for r, m in report.violations))
+
+
+_KINDS = {WeightedComplex: "a weighted complex document",
+          CoverSpec: "a cover document with L, K1, K2, K0",
+          Filtration: 'a document with "stages"'}
+
+
+def _document(args):
+    """The input document, checked as the verb needs it: its kind and, for
+    a complex (except for ``validate``, which reports the check), ``--tree``
+    dropping the stored tree, ``validate`` and ``ensure_tree``."""
+    value = parse_input(args.input)
+    if not isinstance(value, args.kind):
+        raise SchemaError(f"{args.verb} expects {_KINDS[args.kind]}")
+    if args.kind is not WeightedComplex or args.report is _validate_report:
+        return value
+    if getattr(args, "tree", None) is not None:
+        value = replace(value, tree=None)
+    _require_valid(value, "invalid complex")
+    return ensure_tree(value, args.tree or "bfs") if args.needs_tree else value
 
 
 def _abelian_json(group: AbelianGroup) -> dict:
@@ -121,112 +167,74 @@ def _abelian_json(group: AbelianGroup) -> dict:
     }
 
 
-def _need_complex(value, verb):
-    if not isinstance(value, WeightedComplex):
-        raise SchemaError(f"{verb} expects a weighted complex document")
-    return value
+def _maybe(convert, value):
+    return None if value is None else convert(value)
 
 
-def _emit(payload, text, as_json: bool):
-    """Write the report; only the form asked for needs to be built."""
-    print(json.dumps(payload, indent=2) if as_json else text)
-
-
-def run(argv) -> int:
-    args = build_parser().parse_args(argv)
-    value = parse_input(args.input)
-    verb = args.verb
-
-    if verb == "vankampen":
-        if not isinstance(value, CoverSpec):
-            raise SchemaError("vankampen expects a cover document with L, K1, K2, K0")
-        return _run_vankampen(value, args.as_json)
-    if verb == "filtration":
-        if not isinstance(value, Filtration):
-            raise SchemaError('filtration expects a document with "stages"')
-        return _run_filtration(value, args.fallback_abelian, args.as_json)
-
-    complex = _need_complex(value, verb)
-    if getattr(args, "tree", None) is not None:
-        complex = replace(complex, tree=None)
+def _validate_report(complex, args):
     report = validate(complex)
-    if verb == "validate":
-        payload = {
-            "ok": report.ok,
-            "violations": [{"rule": r, "message": m} for r, m in report.violations],
-        }
-        lines = ["ok"] if report.ok else [f"[{r}] {m}" for r, m in report.violations]
-        _emit(payload, "\n".join(lines), args.as_json)
-        return 0 if report.ok else 1
+    payload = {
+        "ok": report.ok,
+        "violations": [{"rule": r, "message": m} for r, m in report.violations],
+    }
+    lines = ["ok"] if report.ok else [f"[{r}] {m}" for r, m in report.violations]
+    return payload, "\n".join(lines), 0 if report.ok else 1
 
-    if not report.ok:
-        for rule, message in report.violations:
-            print(f"invalid complex [{rule}]: {message}", file=sys.stderr)
-        return 1
-    if verb in ("present", "classify", "abelianize", "lcs"):
-        complex = ensure_tree(complex, args.tree or "bfs")
 
-    if verb == "tree":
-        tree = compute_maximal_tree(complex, args.tree or "bfs")
-        payload = {"strategy": tree.strategy, "edges": [list(e) for e in tree.edges]}
-        text = f"{tree.strategy}: " + ", ".join(
-            "{}-{}".format(*complex.edge_labels(e)) for e in tree.edges
-        )
-        _emit(payload, text, args.as_json)
-        return 0
+def _tree_report(complex, args):
+    tree = compute_maximal_tree(complex, args.tree or "bfs")
+    payload = {"strategy": tree.strategy, "edges": [list(e) for e in tree.edges]}
+    text = f"{tree.strategy}: " + ", ".join(
+        "{}-{}".format(*complex.edge_labels(e)) for e in tree.edges
+    )
+    return payload, text, 0
 
-    if verb == "present":
-        p = present(complex)
-        _emit(presentation_to_json(p), str(p), args.as_json)
-        return 0
 
-    if verb == "classify":
-        factors = classify(complex)
-        payload = {"factors": list(factors.orders), "text": str(factors)}
-        _emit(payload, str(factors), args.as_json)
-        return 0
+def _present_report(complex, args):
+    p = present(complex)
+    return presentation_to_json(p), str(p), 0
 
-    if verb == "abelianize":
-        group = abelianization(complex)
-        _check_factor_digits(group.torsion)
-        _emit(_abelian_json(group), str(group), args.as_json)
-        return 0
 
-    if verb == "homology":
-        homology = weighted_homology_graph(complex)
-        _check_factor_digits(homology.h0.torsion + homology.h1.torsion)
-        payload = {"h1": _abelian_json(homology.h1), "h0": _abelian_json(homology.h0)}
-        _emit(payload, f"H1 = {homology.h1}\nH0 = {homology.h0}", args.as_json)
-        return 0
+def _classify_report(complex, args):
+    factors = classify(complex)
+    return {"factors": list(factors.orders), "text": str(factors)}, str(factors), 0
 
-    if verb == "lcs":
-        factors = classify(complex)
-        _check_rank_digits(factors.free_count, args.max_n)
-        _check_max_n(args.max_n)
-        ranks = lcs_free_ranks(factors, args.max_n, args.series_order)
-        payload = {
-            "factors": list(factors.orders),
-            "ranks": list(ranks.ranks),
-            "text": _ranks_text(ranks.ranks),
-        }
-        _emit(payload, _ranks_text(ranks.ranks), args.as_json)
-        return 0
 
-    if verb == "hamiltonian":
-        trees = enumerate_hamiltonian_trees(complex)
-        report = discriminate_trees(complex, trees)
-        write = sys.stdout.write
-        if args.as_json:
-            _write_hamiltonian_json(write, complex.edge_keys, report)
-            return 0
-        label = {e: "{}-{}".format(*complex.edge_labels(e)) for e in complex.edge_keys}
-        write(f"{len(trees)} Hamiltonian tree(s)\n")
-        for tree, inv in zip(trees, report.invariants):
-            write(f"  [{', '.join([label[e] for e in tree.edges])}] -> {inv}\n")
-        write(f"distinguishable: {report.distinguishable}\n")
-        return 0
+def _abelianize_report(complex, args):
+    group = abelianization(complex)
+    _check_factor_digits(group.torsion)
+    return _abelian_json(group), str(group), 0
 
-    raise AssertionError(f"unhandled verb {verb}")
+
+def _homology_report(complex, args):
+    homology = weighted_homology_graph(complex)
+    _check_factor_digits(homology.h0.torsion + homology.h1.torsion)
+    payload = {"h1": _abelian_json(homology.h1), "h0": _abelian_json(homology.h0)}
+    return payload, f"H1 = {homology.h1}\nH0 = {homology.h0}", 0
+
+
+def _lcs_report(complex, args):
+    factors = classify(complex)
+    _check_rank_digits(factors.free_count, args.max_n)
+    _check_max_n(args.max_n)
+    ranks = lcs_free_ranks(factors, args.max_n, args.series_order).ranks
+    text = " ".join(f"R{n}={r}" for n, r in enumerate(ranks, 1))
+    return {"factors": list(factors.orders), "ranks": list(ranks), "text": text}, text, 0
+
+
+def _hamiltonian_report(complex, args):
+    trees = enumerate_hamiltonian_trees(complex)
+    report = discriminate_trees(complex, trees)
+    write = sys.stdout.write
+    if args.as_json:
+        _write_hamiltonian_json(write, complex.edge_keys, report)
+        return None
+    label = {e: "{}-{}".format(*complex.edge_labels(e)) for e in complex.edge_keys}
+    write(f"{len(trees)} Hamiltonian tree(s)\n")
+    for tree, inv in zip(trees, report.invariants):
+        write(f"  [{', '.join([label[e] for e in tree.edges])}] -> {inv}\n")
+    write(f"distinguishable: {report.distinguishable}\n")
+    return None
 
 
 def _check_rank_digits(m: int, max_n: int):
@@ -288,11 +296,7 @@ def _write_json_array(write, items):
     write("[]" if opener == "[\n    " else "\n  ]")
 
 
-def _ranks_text(ranks) -> str:
-    return " ".join(f"R{i + 1}={r}" for i, r in enumerate(ranks))
-
-
-def _run_vankampen(spec: CoverSpec, as_json: bool) -> int:
+def _vankampen_report(spec: CoverSpec, args):
     report = verify_van_kampen(spec)
     _check_factor_digits(d for g in (report.abelianization_amalgamated,
                                      report.abelianization_direct)
@@ -305,28 +309,16 @@ def _run_vankampen(spec: CoverSpec, as_json: bool) -> int:
         "tree_union_ok": report.tree_union_ok,
         "tree_intersection_ok": report.tree_intersection_ok,
         "abelianizations_equal": report.abelianizations_equal,
-        "abelianization_amalgamated": (
-            None if report.abelianization_amalgamated is None
-            else _abelian_json(report.abelianization_amalgamated)
-        ),
-        "abelianization_direct": (
-            None if report.abelianization_direct is None
-            else _abelian_json(report.abelianization_direct)
-        ),
-        "factorizations": (
-            None if report.factorizations is None
-            else {
-                "direct": list(report.factorizations[0].orders),
-                "from_cover": list(report.factorizations[1].orders),
-            }
-        ),
-        "generator_classes": (
-            None if report.generator_classes is None
-            else {
-                name: ["{}-{}".format(*e) for e in edges]
-                for name, edges in report.generator_classes.items()
-            }
-        ),
+        "abelianization_amalgamated": _maybe(_abelian_json,
+                                             report.abelianization_amalgamated),
+        "abelianization_direct": _maybe(_abelian_json, report.abelianization_direct),
+        "factorizations": _maybe(
+            lambda fs: {"direct": list(fs[0].orders), "from_cover": list(fs[1].orders)},
+            report.factorizations),
+        "generator_classes": _maybe(
+            lambda classes: {name: ["{}-{}".format(*e) for e in edges]
+                             for name, edges in classes.items()},
+            report.generator_classes),
     }
     if report.hypotheses_ok:
         lines = [
@@ -345,18 +337,13 @@ def _run_vankampen(spec: CoverSpec, as_json: bool) -> int:
         lines = ["hypotheses: FAIL"] + [
             f"[{r}] {m}" for r, m in report.hypothesis_report.violations
         ]
-    _emit(payload, "\n".join(lines), as_json)
-    return 0 if report.hypotheses_ok else 2
+    return payload, "\n".join(lines), 0 if report.hypotheses_ok else 2
 
 
-def _run_filtration(f: Filtration, fallback_abelian: bool, as_json: bool) -> int:
+def _filtration_report(f: Filtration, args):
     for i, stage in enumerate(f.stages):
-        report = validate(stage)
-        if not report.ok:
-            for rule, message in report.violations:
-                print(f"stage {i} invalid [{rule}]: {message}", file=sys.stderr)
-            return 1
-    analysis = analyze_filtration(f, fallback_abelian=fallback_abelian)
+        _require_valid(stage, f"stage {i} invalid")
+    analysis = analyze_filtration(f, fallback_abelian=args.fallback_abelian)
     _check_factor_digits(m for fac in analysis.stage_factors for m in fac.orders)
     payload = {
         "stages": [list(fac.orders) for fac in analysis.stage_factors],
@@ -377,13 +364,25 @@ def _run_filtration(f: Filtration, fallback_abelian: bool, as_json: bool) -> int
             "warning: abelianization fallback at stages "
             + ", ".join(map(str, analysis.abelian_fallback_stages))
         )
-    _emit(payload, "\n".join(lines), as_json)
-    return 0
+    return payload, "\n".join(lines), 0
+
+
+def run(argv) -> int:
+    args = build_parser().parse_args(argv)
+    result = args.report(_document(args), args)
+    if result is None:  # the report wrote its own output
+        return 0
+    payload, text, code = result
+    print(json.dumps(payload, indent=2) if args.as_json else text)
+    return code
 
 
 def main(argv=None) -> int:
     try:
         return run(sys.argv[1:] if argv is None else argv)
+    except _Invalid as err:
+        print(err, file=sys.stderr)
+        return 1
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

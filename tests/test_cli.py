@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import time
 
 import pytest
@@ -206,6 +207,102 @@ class TestTreeFlag:
         code, out, _ = run(capsys, "classify", str(path), "--tree", "bfs")
         assert code == 0
         assert out.strip() == "Z * Z/2 * Z/4"
+
+
+class TestFailureOutput:
+    """The exact bytes of each validation and document-kind failure."""
+
+    # Disconnected (d is isolated), with a stored tree that is a cycle.
+    CYCLIC_TREE = {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"a": 0, "b": 1, "w": 2}, {"a": 0, "b": 2, "w": 1},
+                  {"a": 1, "b": 2, "w": 3}],
+        "tree": [[0, 1], [1, 2], [0, 2]],
+    }
+    VIOLATIONS = [("connected", "the 1-skeleton is not path-connected"),
+                  ("tree-cycle", "tree edges contain a cycle"),
+                  ("tree-not-spanning", "tree does not span every vertex")]
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("verb", ["classify", "hamiltonian"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_invalid_complex_goes_to_stderr(self, capsys, tmp_path, verb, flags):
+        path = self.write(tmp_path, self.CYCLIC_TREE)
+        err = "".join(f"invalid complex [{r}]: {m}\n" for r, m in self.VIOLATIONS)
+        assert run(capsys, verb, path, *flags) == (1, "", err)
+
+    def test_validate_reports_on_stdout(self, capsys, tmp_path):
+        path = self.write(tmp_path, self.CYCLIC_TREE)
+        out = "".join(f"[{r}] {m}\n" for r, m in self.VIOLATIONS)
+        assert run(capsys, "validate", path) == (1, out, "")
+        payload = {"ok": False,
+                   "violations": [{"rule": r, "message": m} for r, m in self.VIOLATIONS]}
+        assert run(capsys, "validate", path, "--json") == (
+            1, json.dumps(payload, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--fallback-abelian"]])
+    def test_invalid_filtration_stage_goes_to_stderr(self, capsys, tmp_path, flags):
+        doc = {"stages": [{"vertices": ["a"], "edges": []},
+                          {"vertices": ["a", "b"], "edges": []}]}
+        path = self.write(tmp_path, doc)
+        assert run(capsys, "filtration", path, *flags) == (
+            1, "", "stage 1 invalid [connected]: the 1-skeleton is not path-connected\n")
+
+    @pytest.mark.parametrize("verb, name, message", [
+        ("classify", "figure4-cover.json", "classify expects a weighted complex document"),
+        ("vankampen", "figure1.json", "vankampen expects a cover document with L, K1, K2, K0"),
+        ("filtration", "figure1.json", 'filtration expects a document with "stages"'),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_wrong_document_kind(self, capsys, verb, name, message, flags):
+        assert run(capsys, verb, fig(name), *flags) == (1, "", f"error: {message}\n")
+
+
+class TestHelp:
+    """argparse formats a help string only when --help runs, so each one is
+    run here; each lists exactly its own option strings."""
+
+    BASE = {"-h", "--help", "--json"}
+    OPTIONS = {
+        "validate": BASE,
+        "tree": BASE | {"--tree"},
+        "present": BASE | {"--tree"},
+        "classify": BASE | {"--tree"},
+        "abelianize": BASE | {"--tree"},
+        "homology": BASE,
+        "lcs": BASE | {"--tree", "--max-n", "--series-order"},
+        "vankampen": BASE,
+        "filtration": BASE | {"--fallback-abelian"},
+        "hamiltonian": BASE,
+    }
+
+    @staticmethod
+    def help_text(capsys, *argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        assert exit_.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    @staticmethod
+    def option_strings(text):
+        return set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text))
+
+    def test_top_level(self, capsys):
+        text = self.help_text(capsys)
+        assert self.option_strings(text) == {"-h", "--help"}
+        assert all(verb in text for verb in VERBS)
+        assert sorted(self.OPTIONS) == sorted(VERBS)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb(self, capsys, verb):
+        assert self.option_strings(self.help_text(capsys, verb)) == self.OPTIONS[verb]
 
 
 class TestLcsRankBound:

@@ -1,10 +1,12 @@
 """Replay every verb on every figure, as text and as --json, against the
-recorded exit codes and output bytes in ``golden/figures.json``; and
-``hamiltonian`` on two larger seeded graphs (a K7 and a sparse 10-vertex
-graph), whose documents, exit codes and output digests are recorded in
-``golden/hamiltonian.json``.
+recorded exit codes and output bytes in ``golden/figures.json``; the flag
+variants those runs leave out (``--tree`` strategies, ``lcs`` bounds,
+``filtration --fallback-abelian``) on every figure, against
+``golden/flags.json``; and ``hamiltonian`` on two larger seeded graphs (a
+K7 and a sparse 10-vertex graph), whose documents, exit codes and output
+digests are recorded in ``golden/hamiltonian.json``.
 
-Regenerate both files (only when an output change is intended) with
+Regenerate all three files (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 
@@ -28,6 +30,17 @@ from helpers import FIGURES, VERBS
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "figures.json"
 HAMILTONIAN = GOLDEN.with_name("hamiltonian.json")
+FLAGS = GOLDEN.with_name("flags.json")
+
+# The verb and flags of each run in flags.json, run as text and with --json.
+FLAG_VARIANTS = (
+    [[verb, "--tree", strategy]
+     for verb in ("tree", "present", "classify", "abelianize", "lcs")
+     for strategy in ("bfs", "kruskal-min", "kruskal-max")]
+    + [["lcs", "--max-n", "8"],
+       ["lcs", "--max-n", "3", "--series-order", "2"],
+       ["filtration", "--fallback-abelian"]]
+)
 
 
 def capture(argv):
@@ -37,23 +50,40 @@ def capture(argv):
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def all_runs():
+def figure_runs(variants):
     figures = sorted(p.name for p in FIGURES.glob("*.json"))
     return [
-        [verb, f"figures/{name}"] + (["--json"] if as_json else [])
-        for name in figures for verb in VERBS for as_json in (False, True)
+        [verb, f"figures/{name}", *flags] + (["--json"] if as_json else [])
+        for name in figures for verb, *flags in variants for as_json in (False, True)
     ]
 
 
-# A missing file records nothing, which test_golden_covers_every_run reports.
-RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+def all_runs():
+    return figure_runs([[verb] for verb in VERBS])
+
+
+def flag_runs():
+    return figure_runs(FLAG_VARIANTS)
+
+
+def recorded(path):
+    # A missing file records nothing, which the coverage tests report.
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+
+
+RECORDED = recorded(GOLDEN)
+FLAG_RECORDED = recorded(FLAGS)
 
 
 def test_golden_covers_every_run():
     assert [r["argv"] for r in RECORDED] == all_runs()
 
 
-@pytest.mark.parametrize("record", RECORDED, ids=lambda r: " ".join(r["argv"]))
+def test_flag_golden_covers_every_run():
+    assert [r["argv"] for r in FLAG_RECORDED] == flag_runs()
+
+
+@pytest.mark.parametrize("record", RECORDED + FLAG_RECORDED, ids=lambda r: " ".join(r["argv"]))
 def test_output_matches_golden(record, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert capture(record["argv"]) == record
@@ -105,10 +135,11 @@ def test_hamiltonian_matches_pinned(record, tmp_path):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    runs = [capture(argv) for argv in all_runs()]
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"wrote {len(runs)} runs to {GOLDEN}", file=sys.stderr)
+    for path, argvs in ((GOLDEN, all_runs()), (FLAGS, flag_runs())):
+        runs = [capture(argv) for argv in argvs]
+        path.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        print(f"wrote {len(runs)} runs to {path}", file=sys.stderr)
     documents = hamiltonian_documents()
     with tempfile.TemporaryDirectory() as directory:
         pinned = [hamiltonian_run(name, doc, flags, Path(directory))
