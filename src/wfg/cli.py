@@ -146,14 +146,15 @@ _KINDS = {WeightedComplex: "a weighted complex document",
 
 def _document(args):
     """The input document, checked as the verb needs it: its kind and, for
-    a complex (except for ``validate``, which reports the check), ``--tree``
-    dropping the stored tree, ``validate`` and ``ensure_tree``."""
+    a complex (except for ``validate``, which reports the check), dropping
+    a stored tree the verb does not use (every verb but those that need a
+    tree, and those under ``--tree``), ``validate`` and ``ensure_tree``."""
     value = parse_input(args.input)
     if not isinstance(value, args.kind):
         raise SchemaError(f"{args.verb} expects {_KINDS[args.kind]}")
     if args.kind is not WeightedComplex or args.report is _validate_report:
         return value
-    if getattr(args, "tree", None) is not None:
+    if not args.needs_tree or args.tree is not None:
         value = replace(value, tree=None)
     _require_valid(value, "invalid complex")
     return ensure_tree(value, args.tree or "bfs") if args.needs_tree else value

@@ -79,33 +79,25 @@ class Presentation:
         return f"⟨ {gens} | {rels} ⟩"
 
 
+def _relators(index, weight, tree, triangles) -> list[Word]:
+    """The tree relators, then the triangle relators, freely reduced with
+    empty words dropped; ``index`` maps an edge key to its generator."""
+    words = [[(index[e], weight[e])] for e in tree]
+    words += [[(index[(a, b)], -weight[(a, b)]), (index[(a, v)], weight[(a, v)]),
+               (index[(v, b)], weight[(v, b)])] for a, v, b in triangles]
+    return [word for word in map(free_reduce, words) if word]
+
+
 def present(complex: WeightedComplex) -> Presentation:
     """The defining presentation read off the tree and the triangles."""
     if complex.tree is None:
         raise MissingTree("presentation needs a maximal tree")
     keys = complex.edge_keys
     index = {key: i for i, key in enumerate(keys)}
-    labels = tuple(generator_label(a, b) for a, b in keys)
-    weight = complex.weight_of
     tree = set(complex.tree)
-
-    relators: list[Word] = []
-    for key in keys:
-        if key in tree:
-            word = free_reduce([(index[key], weight[key])])
-            if word:
-                relators.append(word)
-    for a, v, b in complex.triangles:
-        word = free_reduce(
-            [
-                (index[(a, b)], -weight[(a, b)]),
-                (index[(a, v)], weight[(a, v)]),
-                (index[(v, b)], weight[(v, b)]),
-            ]
-        )
-        if word:
-            relators.append(word)
-    return Presentation(labels, tuple(relators))
+    relators = _relators(index, complex.weight_of, [key for key in keys if key in tree],
+                         complex.triangles)
+    return Presentation(tuple(generator_label(a, b) for a, b in keys), tuple(relators))
 
 
 def simplify(p: Presentation) -> Presentation:

@@ -5,13 +5,18 @@ and K0 a weighted subcomplex of both sides.  Under these hypotheses the
 tree of L is forced to be the union of the two side trees and their
 intersection is forced to be K0's tree; the amalgamated presentation
 doubles the K0 generators into primed/double-primed copies, lays down the
-two sides' relators, and identifies the copies.
+two sides' relators with ``present``'s relator rule, and identifies the
+copies.
 
-Group-level equality is undecidable, so consistency with the direct
-presentation of L is reported at the abelianization level (always) and at
-the cyclic-factorization level (when the exactly-two condition licenses
-it).  Vertices are matched across complexes by label; every member's
-vertex list must embed order-preservingly into L's.
+A verification makes one hypothesis pass (``_hypotheses``: the report and
+both tree equalities) and one mapping of K0, K1 and K2 into L's vertex
+indices (``_mapped``), from which the amalgamated presentation and the
+generator classes are both read.  Group-level equality is undecidable, so
+consistency with the direct presentation of L is reported at the
+abelianization level (always) and at the cyclic-factorization level (when
+the exactly-two condition licenses it).  Vertices are matched across
+complexes by label; every member's vertex list must embed
+order-preservingly into L's.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from .invariants import (
 from .presentation import (
     Presentation,
     Word,
+    _relators,
     abelianized_group,
-    free_reduce,
     generator_label,
     present,
 )
@@ -71,98 +76,76 @@ class VanKampenReport:
     generator_classes: Optional[dict[str, tuple[LabelEdge, ...]]]
 
 
-def _label_vertices(K: WeightedComplex) -> set[str]:
-    return set(K.vertices)
+def _labels(K: WeightedComplex):
+    """K's vertex, edge, triangle and tree sets, written in vertex labels
+    (the tree set is empty when K has no tree)."""
+    name = K.vertices
+    return (set(name), {(name[a], name[b]) for a, b, _ in K.edges},
+            {(name[a], name[v], name[b]) for a, v, b in K.triangles},
+            {(name[a], name[b]) for a, b in K.tree or ()})
 
 
-def _label_edges(K: WeightedComplex) -> set[LabelEdge]:
-    return {(K.vertices[a], K.vertices[b]) for a, b, _ in K.edges}
-
-
-def _label_triangles(K: WeightedComplex) -> set[tuple[str, str, str]]:
-    return {(K.vertices[a], K.vertices[v], K.vertices[b]) for a, v, b in K.triangles}
-
-
-def _label_tree(K: WeightedComplex) -> set[LabelEdge]:
-    return {(K.vertices[a], K.vertices[b]) for a, b in K.tree}
-
-
-def _lemma_equalities(spec: CoverSpec) -> tuple[bool, bool]:
-    b = _label_tree(spec.L)
-    a1 = _label_tree(spec.K1)
-    a2 = _label_tree(spec.K2)
-    a0 = _label_tree(spec.K0)
-    return (b == a1 | a2, a1 & a2 == a0)
-
-
-def check_hypotheses(spec: CoverSpec) -> ValidationReport:
-    """Verify the cover hypotheses and report the two derived tree
-    equalities; nothing is thrown, every failure becomes a violation."""
+def _hypotheses(spec: CoverSpec) -> tuple[ValidationReport, bool, bool]:
+    """The hypothesis report and the two tree equalities of the lemma
+    (tree union, tree intersection), both False when a member is invalid
+    or has no tree, since the lemma is then not checked."""
     v: list[tuple[str, str]] = []
-    members = (("L", spec.L), ("K1", spec.K1), ("K2", spec.K2), ("K0", spec.K0))
     members_ok = True
-    trees_ok = True
-    for name, K in members:
-        rep = validate(K)
-        for rule, msg in rep.violations:
+    for name, K in (("L", spec.L), ("K1", spec.K1), ("K2", spec.K2), ("K0", spec.K0)):
+        for rule, msg in validate(K).violations:
             members_ok = False
             v.append((f"{name}-{rule}", f"{name}: {msg}"))
         if K.tree is None:
-            trees_ok = False
             v.append((f"{name}-missing-tree", f"{name} has no maximal tree"))
     if not members_ok:
         # Relational checks would be meaningless (and index maps unsafe)
         # on structurally invalid members.
-        return ValidationReport(False, tuple(v))
+        return ValidationReport(False, tuple(v)), False, False
+    trees_ok = not v  # the only violations so far are missing trees
 
     if trees_ok:
-        for name, inner, outer in (
-            ("K1-in-L", spec.K1, spec.L),
-            ("K2-in-L", spec.K2, spec.L),
-            ("K0-in-K1", spec.K0, spec.K1),
-            ("K0-in-K2", spec.K0, spec.K2),
-        ):
-            if not is_weighted_subcomplex(inner, outer):
-                a, b = name.split("-in-")
-                v.append((f"subcomplex-{name}", f"{a} is not a weighted subcomplex of {b}"))
+        for a, b in (("K1", "L"), ("K2", "L"), ("K0", "K1"), ("K0", "K2")):
+            if not is_weighted_subcomplex(getattr(spec, a), getattr(spec, b)):
+                v.append((f"subcomplex-{a}-in-{b}", f"{a} is not a weighted subcomplex of {b}"))
 
-    if _label_vertices(spec.K1) | _label_vertices(spec.K2) != _label_vertices(spec.L) or \
-            _label_edges(spec.K1) | _label_edges(spec.K2) != _label_edges(spec.L) or \
-            _label_triangles(spec.K1) | _label_triangles(spec.K2) != _label_triangles(spec.L):
+    L, K1, K2, K0 = map(_labels, (spec.L, spec.K1, spec.K2, spec.K0))
+    if any(x | y != z for x, y, z in zip(K1[:3], K2[:3], L[:3])):
         v.append(("cover-union", "K1 union K2 differs from L"))
-    if _label_vertices(spec.K1) & _label_vertices(spec.K2) != _label_vertices(spec.K0) or \
-            _label_edges(spec.K1) & _label_edges(spec.K2) != _label_edges(spec.K0) or \
-            _label_triangles(spec.K1) & _label_triangles(spec.K2) != _label_triangles(spec.K0):
+    if any(x & y != z for x, y, z in zip(K1[:3], K2[:3], K0[:3])):
         v.append(("cover-intersection", "K1 intersect K2 differs from K0"))
 
+    union_ok = intersection_ok = False
     if trees_ok:
-        union_ok, intersection_ok = _lemma_equalities(spec)
+        union_ok, intersection_ok = K1[3] | K2[3] == L[3], K1[3] & K2[3] == K0[3]
         if not union_ok:
             v.append(("tree-union", "L's tree differs from the union of the side trees"))
         if not intersection_ok:
             v.append(("tree-intersection",
                       "the side trees intersect in more or less than K0's tree"))
 
-    return ValidationReport(not v, tuple(v))
+    return ValidationReport(not v, tuple(v)), union_ok, intersection_ok
+
+
+def check_hypotheses(spec: CoverSpec) -> ValidationReport:
+    """Verify the cover hypotheses and report the two derived tree
+    equalities; nothing is thrown, every failure becomes a violation."""
+    return _hypotheses(spec)[0]
 
 
 def _mapped(spec: CoverSpec):
-    """Edge/triangle/tree sets of K0, K1, K2 written in L's vertex indices."""
-    out = {}
-    for name, K in (("K0", spec.K0), ("K1", spec.K1), ("K2", spec.K2)):
+    """(edges, triangles, tree) of K0, K1 and K2, in that order, written in
+    L's vertex indices."""
+    out = []
+    for K in (spec.K0, spec.K1, spec.K2):
         emb = _embedding(K, spec.L)
-        out[name] = {
-            "edges": {(emb[a], emb[b]) for a, b, _ in K.edges},
-            "triangles": {(emb[a], emb[v], emb[b]) for a, v, b in K.triangles},
-            "tree": {(emb[a], emb[b]) for a, b in K.tree},
-        }
+        out.append(({(emb[a], emb[b]) for a, b, _ in K.edges},
+                    {(emb[a], emb[v], emb[b]) for a, v, b in K.triangles},
+                    {(emb[a], emb[b]) for a, b in K.tree}))
     return out
 
 
-def _generator_classes(spec: CoverSpec) -> dict[str, tuple[tuple[int, int], ...]]:
-    m = _mapped(spec)
-    e0, e1, e2 = m["K0"]["edges"], m["K1"]["edges"], m["K2"]["edges"]
-    a0, a1, a2 = m["K0"]["tree"], m["K1"]["tree"], m["K2"]["tree"]
+def _generator_classes(mapped) -> dict[str, tuple[tuple[int, int], ...]]:
+    (e0, _, a0), (e1, _, a1), (e2, _, a2) = mapped
     return {
         "A0": tuple(sorted(a0)),
         "K0_minus_A0": tuple(sorted(e0 - a0)),
@@ -173,6 +156,29 @@ def _generator_classes(spec: CoverSpec) -> dict[str, tuple[tuple[int, int], ...]
     }
 
 
+def _amalgamate(L: WeightedComplex, mapped) -> Presentation:
+    """The amalgamated presentation of a cover that meets the hypotheses,
+    from its members mapped into L (``_mapped``).  Each side lays down
+    K0's tree and triangle relators on its own copy of the K0 edges, then
+    its own tree and triangle relators outside K0."""
+    (e0, t0, a0), *sides = mapped
+    plain_edges = sorted(set(L.edge_keys) - e0)
+    shared_edges = sorted(e0)
+    labels = [generator_label(*e) + mark for mark, edges in
+              (("", plain_edges), ("'", shared_edges), ("''", shared_edges)) for e in edges]
+    plain = {e: i for i, e in enumerate(plain_edges)}
+    n, k = len(plain_edges), len(shared_edges)
+    weight = L.weight_of
+
+    relators: list[Word] = []
+    for (edges, triangles, tree), offset in zip(sides, (n, n + k)):
+        index = plain | {e: offset + i for i, e in enumerate(shared_edges)}
+        relators += _relators(index, weight, sorted(a0), sorted(t0))
+        relators += _relators(index, weight, sorted(tree - e0), sorted(triangles - t0))
+    relators += [((n + i, 1), (n + k + i, -1)) for i in range(k)]
+    return Presentation(tuple(labels), tuple(relators))
+
+
 def amalgamated_presentation(spec: CoverSpec) -> Presentation:
     """Presentation of the glued group: plain generators for edges outside
     K0, primed and double-primed copies for K0 edges, the two sides'
@@ -181,87 +187,31 @@ def amalgamated_presentation(spec: CoverSpec) -> Presentation:
     if not report.ok:
         first = "; ".join(msg for _, msg in report.violations[:3])
         raise HypothesesFailed(f"cover hypotheses fail: {first}")
-
-    L = spec.L
-    m = _mapped(spec)
-    e0 = m["K0"]["edges"]
-    t0 = m["K0"]["triangles"]
-    a0 = m["K0"]["tree"]
-    plain_edges = sorted(set(L.edge_keys) - e0)
-    shared_edges = sorted(e0)
-
-    labels = [generator_label(a, b) for a, b in plain_edges]
-    labels += [generator_label(a, b) + "'" for a, b in shared_edges]
-    labels += [generator_label(a, b) + "''" for a, b in shared_edges]
-    plain = {e: i for i, e in enumerate(plain_edges)}
-    primed = {e: len(plain_edges) + i for i, e in enumerate(shared_edges)}
-    doubled = {e: len(plain_edges) + len(shared_edges) + i
-               for i, e in enumerate(shared_edges)}
-    weight = L.weight_of
-
-    relators: list[Word] = []
-
-    def emit(word):
-        reduced = free_reduce(word)
-        if reduced:
-            relators.append(reduced)
-
-    def triangle_word(tri, gen_of):
-        a, v, b = tri
-        return [
-            (gen_of[(a, b)], -weight[(a, b)]),
-            (gen_of[(a, v)], weight[(a, v)]),
-            (gen_of[(v, b)], weight[(v, b)]),
-        ]
-
-    def side_relators(side: str, copy: dict):
-        gen_of = {e: copy[e] if e in e0 else plain[e] for e in m[side]["edges"]}
-        for e in sorted(a0):
-            emit([(copy[e], weight[e])])
-        for tri in sorted(t0):
-            emit(triangle_word(tri, gen_of))
-        for e in sorted(m[side]["tree"] - e0):
-            emit([(gen_of[e], weight[e])])
-        for tri in sorted(m[side]["triangles"] - t0):
-            emit(triangle_word(tri, gen_of))
-
-    side_relators("K1", primed)
-    side_relators("K2", doubled)
-    for e in shared_edges:
-        emit([(primed[e], 1), (doubled[e], -1)])
-
-    return Presentation(tuple(labels), tuple(relators))
+    return _amalgamate(spec.L, _mapped(spec))
 
 
-def _cover_factorization(spec: CoverSpec) -> CyclicFactorization:
+def _cover_factorization(L: WeightedComplex, classes) -> CyclicFactorization:
     """Factor multiset predicted by the six generator classes: the three
     tree classes contribute |w|, the three non-tree classes contribute |w|
     when the edge bounds a triangle of L and an infinite factor otherwise."""
-    classes = _generator_classes(spec)
-    weight = spec.L.weight_of
-    faces = triangle_faces(spec.L)
-    raw = []
-    for name in ("A0", "K1_tree_new", "K2_tree_new"):
-        raw.extend(weight[e] for e in classes[name])
-    for name in ("K0_minus_A0", "K1_free", "K2_free"):
-        raw.extend(weight[e] if e in faces else 0 for e in classes[name])
+    weight = L.weight_of
+    faces = triangle_faces(L)
+    raw = [weight[e] for name in ("A0", "K1_tree_new", "K2_tree_new") for e in classes[name]]
+    raw += [weight[e] if e in faces else 0
+            for name in ("K0_minus_A0", "K1_free", "K2_free") for e in classes[name]]
     return normalize_factorization(raw)
 
 
 def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
     """Check the hypotheses, build both the amalgamated and the direct
     presentation of L, and compare their computable invariants."""
-    report = check_hypotheses(spec)
+    report, union_ok, intersection_ok = _hypotheses(spec)
     if not report.ok:
-        rules = {rule for rule, _ in report.violations}
-        member_trouble = any(
-            rule.split("-", 1)[0] in ("L", "K1", "K2", "K0") for rule in rules
-        )
         return VanKampenReport(
             hypotheses_ok=False,
             hypothesis_report=report,
-            tree_union_ok=not member_trouble and "tree-union" not in rules,
-            tree_intersection_ok=not member_trouble and "tree-intersection" not in rules,
+            tree_union_ok=union_ok,
+            tree_intersection_ok=intersection_ok,
             amalgamated=None,
             direct=None,
             abelianization_amalgamated=None,
@@ -271,16 +221,16 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
             generator_classes=None,
         )
 
-    union_ok, intersection_ok = _lemma_equalities(spec)
-    amalgamated = amalgamated_presentation(spec)
+    mapped = _mapped(spec)
+    classes = _generator_classes(mapped)
+    amalgamated = _amalgamate(spec.L, mapped)
     direct = present(spec.L)
     ab_amalgamated = abelianized_group(amalgamated)
     ab_direct = abelianized_group(direct)
     factorizations = None
     if satisfies_exactly_two(spec.L):
-        factorizations = (classify(spec.L), _cover_factorization(spec))
+        factorizations = (classify(spec.L), _cover_factorization(spec.L, classes))
 
-    classes = _generator_classes(spec)
     label_classes = {
         name: tuple(spec.L.edge_labels(e) for e in edges)
         for name, edges in classes.items()

@@ -8,7 +8,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -640,6 +640,51 @@ def random_cover(rng) -> CoverSpec:
         K2=build(vertices2, e2, t2, a2),
         K0=build(core, e0, t0, a0),
     )
+
+
+def _reversed(K: WeightedComplex) -> WeightedComplex:
+    """K with its vertex order reversed and every simplex re-indexed."""
+    n = len(K.vertices)
+
+    def flip(*simplex):
+        return tuple(sorted(n - 1 - i for i in simplex))
+
+    return WeightedComplex(K.vertices[::-1], [(*flip(a, b), w) for a, b, w in K.edges],
+                           [flip(*t) for t in K.triangles],
+                           None if K.tree is None else [flip(*e) for e in K.tree])
+
+
+def _without_last_edge(K: WeightedComplex) -> WeightedComplex:
+    """K less its last edge, the triangles on it and its tree entry."""
+    if not K.edges:
+        return K
+    a, b, _ = K.edges[-1]
+    return WeightedComplex(K.vertices, K.edges[:-1],
+                           [t for t in K.triangles if not (a in t and b in t)],
+                           [e for e in K.tree if e != (a, b)])
+
+
+def _reweighted(K: WeightedComplex) -> WeightedComplex:
+    """K with its first edge's weight raised by one."""
+    if not K.edges:
+        return K
+    (a, b, w), *rest = K.edges
+    return replace(K, edges=((a, b, w + 1), *rest))
+
+
+# Edits of a valid cover, by name.  Each breaks a hypothesis of most
+# covers; a swap of the sides, and K0 = K1 or L = K1 on a cover whose
+# pieces happen to nest, still meet them.
+BROKEN_COVERS = {
+    "swapped": lambda s: CoverSpec(s.L, s.K2, s.K1, s.K0),
+    "k0-is-k1": lambda s: replace(s, K0=s.K1),
+    "k0-no-tree": lambda s: replace(s, K0=replace(s.K0, tree=None)),
+    "l-tree-all-edges": lambda s: replace(s, L=s.L.with_tree(s.L.edge_keys)),
+    "k1-missing-edge": lambda s: replace(s, K1=_without_last_edge(s.K1)),
+    "k0-reversed": lambda s: replace(s, K0=_reversed(s.K0)),
+    "l-weight-changed": lambda s: replace(s, L=_reweighted(s.L)),
+    "l-is-k1": lambda s: replace(s, L=s.K1),
+}
 
 
 def random_filtration(rng, max_vertices=8, max_stages=4) -> Filtration:

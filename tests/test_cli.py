@@ -192,21 +192,37 @@ class TestVerbs:
 
 
 class TestTreeFlag:
+    # Connected, with a stored tree that is a cycle.
+    CYCLIC_TREE = {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"a": 0, "b": 1, "w": 2}, {"a": 0, "b": 2, "w": 1},
+                  {"a": 1, "b": 2, "w": 3}, {"a": 2, "b": 3, "w": 4}],
+        "tree": [[0, 1], [1, 2], [0, 2]],
+    }
+
     def test_tree_flag_replaces_an_invalid_stored_tree(self, capsys, tmp_path):
-        doc = {
-            "vertices": ["a", "b", "c", "d"],
-            "edges": [{"a": 0, "b": 1, "w": 2}, {"a": 0, "b": 2, "w": 1},
-                      {"a": 1, "b": 2, "w": 3}, {"a": 2, "b": 3, "w": 4}],
-            "tree": [[0, 1], [1, 2], [0, 2]],
-        }
         path = tmp_path / "cyclic-tree.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(self.CYCLIC_TREE), encoding="utf-8")
         code, _, err = run(capsys, "classify", str(path))
         assert code == 1
         assert "[tree-cycle]" in err
         code, out, _ = run(capsys, "classify", str(path), "--tree", "bfs")
         assert code == 0
         assert out.strip() == "Z * Z/2 * Z/4"
+
+    @pytest.mark.parametrize("verb", ["tree", "homology", "hamiltonian"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_unused_stored_tree_is_not_validated(self, capsys, tmp_path, verb, flags):
+        """A verb that never reads the stored tree gives the same output
+        with the invalid tree as without any tree."""
+        bare = {k: v for k, v in self.CYCLIC_TREE.items() if k != "tree"}
+        runs = []
+        for name, doc in (("cyclic", self.CYCLIC_TREE), ("bare", bare)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            runs.append(run(capsys, verb, str(path), *flags))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
 
 class TestFailureOutput:
@@ -233,7 +249,10 @@ class TestFailureOutput:
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_invalid_complex_goes_to_stderr(self, capsys, tmp_path, verb, flags):
         path = self.write(tmp_path, self.CYCLIC_TREE)
-        err = "".join(f"invalid complex [{r}]: {m}\n" for r, m in self.VIOLATIONS)
+        # hamiltonian drops the stored tree, which it does not use, before
+        # validation, so only the disconnection is reported.
+        violations = self.VIOLATIONS if verb == "classify" else self.VIOLATIONS[:1]
+        err = "".join(f"invalid complex [{r}]: {m}\n" for r, m in violations)
         assert run(capsys, verb, path, *flags) == (1, "", err)
 
     def test_validate_reports_on_stdout(self, capsys, tmp_path):

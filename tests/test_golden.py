@@ -2,11 +2,13 @@
 recorded exit codes and output bytes in ``golden/figures.json``; the flag
 variants those runs leave out (``--tree`` strategies, ``lcs`` bounds,
 ``filtration --fallback-abelian``) on every figure, against
-``golden/flags.json``; and ``hamiltonian`` on two larger seeded graphs (a
+``golden/flags.json``; ``hamiltonian`` on two larger seeded graphs (a
 K7 and a sparse 10-vertex graph), whose documents, exit codes and output
-digests are recorded in ``golden/hamiltonian.json``.
+digests are recorded in ``golden/hamiltonian.json``; and ``vankampen`` on
+36 seeded covers, valid and broken, whose documents, exit codes and output
+are recorded in ``golden/vankampen.json``.
 
-Regenerate all three files (only when an output change is intended) with
+Regenerate all four files (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 
@@ -24,12 +26,14 @@ from pathlib import Path
 import pytest
 
 from wfg.cli import main
+from wfg.complexes import complex_to_json
 
-from helpers import FIGURES, VERBS
+from helpers import BROKEN_COVERS, FIGURES, VERBS, random_cover, split_grid_cover
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "figures.json"
 HAMILTONIAN = GOLDEN.with_name("hamiltonian.json")
+VANKAMPEN = GOLDEN.with_name("vankampen.json")
 FLAGS = GOLDEN.with_name("flags.json")
 
 # The verb and flags of each run in flags.json, run as text and with --json.
@@ -133,6 +137,45 @@ def test_hamiltonian_matches_pinned(record, tmp_path):
     assert hamiltonian_run(record["name"], document, record["flags"], tmp_path) == record
 
 
+def vankampen_documents() -> dict:
+    """Two random covers and the split 2x2 and 4x4 grids, each as it is
+    and in every broken variant."""
+    rng = random.Random(10)
+    bases = {"random0": random_cover(rng), "random1": random_cover(rng),
+             "grid2": split_grid_cover(rng, 2), "grid4": split_grid_cover(rng, 4)}
+    covers = {}
+    for name, spec in bases.items():
+        covers[name] = spec
+        for kind, broken in BROKEN_COVERS.items():
+            covers[f"{name}-{kind}"] = broken(spec)
+    return {name: {key: complex_to_json(getattr(spec, key)) for key in ("L", "K1", "K2", "K0")}
+            for name, spec in covers.items()}
+
+
+def vankampen_run(name: str, document: dict, flags: list, directory: Path) -> dict:
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    run = capture(["vankampen", str(path), *flags])
+    return {"name": name, "flags": flags, "exit": run["exit"],
+            "stdout": run["stdout"], "stderr": run["stderr"]}
+
+
+COVERS = json.loads(VANKAMPEN.read_text(encoding="utf-8")) if VANKAMPEN.exists() else {}
+
+
+def test_vankampen_pins_cover_every_document():
+    assert COVERS.get("documents") == vankampen_documents()
+    assert [(r["name"], r["flags"]) for r in COVERS["runs"]] == [
+        (name, flags) for name in COVERS["documents"] for flags in ([], ["--json"])]
+
+
+@pytest.mark.parametrize("record", COVERS.get("runs", []),
+                         ids=lambda r: " ".join([r["name"], *r["flags"]]))
+def test_vankampen_matches_pinned(record, tmp_path):
+    document = COVERS["documents"][record["name"]]
+    assert vankampen_run(record["name"], document, record["flags"], tmp_path) == record
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.parent.mkdir(exist_ok=True)
@@ -147,3 +190,10 @@ if __name__ == "__main__":
     HAMILTONIAN.write_text(json.dumps({"documents": documents, "runs": pinned}, indent=1)
                            + "\n", encoding="utf-8")
     print(f"wrote {len(pinned)} runs to {HAMILTONIAN}", file=sys.stderr)
+    documents = vankampen_documents()
+    with tempfile.TemporaryDirectory() as directory:
+        pinned = [vankampen_run(name, doc, flags, Path(directory))
+                  for name, doc in documents.items() for flags in ([], ["--json"])]
+    VANKAMPEN.write_text(json.dumps({"documents": documents, "runs": pinned}, indent=1,
+                                    ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(pinned)} runs to {VANKAMPEN}", file=sys.stderr)

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from wfg.complexes import complex_from_json
+import wfg.vankampen
+from wfg.complexes import WeightedComplex, complex_from_json, ensure_tree
 from wfg.errors import HypothesesFailed, SchemaError
 from wfg.exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix
 from wfg.invariants import classify
@@ -15,7 +17,7 @@ from wfg.vankampen import (
     verify_van_kampen,
 )
 
-from helpers import load_figure, random_cover
+from helpers import BROKEN_COVERS, load_figure, random_cover
 
 COVER = cover_from_json(load_figure("figure4-cover.json"))
 COVER_W1 = cover_from_json(load_figure("figure4-cover-w1.json"))
@@ -84,6 +86,18 @@ class TestAmalgamatedPresentation:
         p = amalgamated_presentation(spec)
         assert abelianized_group(p) == abelianized_group(present(COVER.K1))
 
+    def test_figure4_literal(self):
+        p = amalgamated_presentation(COVER)
+        assert p.generators == (
+            "g01", "g02", "g12", "g45", "g46", "g56",
+            "g23'", "g24'", "g34'", "g23''", "g24''", "g34''",
+        )
+        assert p.relators == (
+            ((6, 4),), ((8, 5),), ((7, -6), (6, 4), (8, 5)), ((0, 2),), ((2, 3),),
+            ((9, 4),), ((11, 5),), ((10, -6), (9, 4), (11, 5)), ((4, 7),), ((5, 8),),
+            ((6, 1), (9, -1)), ((7, 1), (10, -1)), ((8, 1), (11, -1)),
+        )
+
     def test_raises_on_broken_cover(self):
         spec = CoverSpec(COVER.L, COVER.K1, COVER.K2, COVER.K1)
         with pytest.raises(HypothesesFailed):
@@ -134,6 +148,56 @@ class TestVerifyVanKampen:
             if report.factorizations is not None:
                 direct, from_cover = report.factorizations
                 assert direct == from_cover
+
+
+class TestVerifyAgainstPublicFunctions:
+    """verify_van_kampen computes its report without calling the public
+    check_hypotheses and amalgamated_presentation; it must agree with them."""
+
+    @staticmethod
+    def covers(rng):
+        """Seeded random covers, each with its broken variants and with L's
+        tree rebuilt by kruskal-max (which can break only the tree lemma)."""
+        for _ in range(40):
+            spec = random_cover(rng)
+            yield spec
+            yield from (broken(spec) for broken in BROKEN_COVERS.values())
+            yield replace(spec, L=ensure_tree(replace(spec.L, tree=None), "kruskal-max"))
+
+    def test_seeded_covers_and_mutations(self):
+        held = lemma_failed = 0
+        for spec in self.covers(random.Random(31)):
+            report = verify_van_kampen(spec)
+            assert report.hypothesis_report == check_hypotheses(spec)
+            assert report.hypotheses_ok == report.hypothesis_report.ok
+            # The tree flags as read off the violations: False after any
+            # member violation, else False exactly when their rule is listed.
+            rules = {rule for rule, _ in report.hypothesis_report.violations}
+            members_ok = not any(rule.split("-", 1)[0] in ("L", "K1", "K2", "K0")
+                                 for rule in rules)
+            assert report.tree_union_ok == (members_ok and "tree-union" not in rules)
+            assert report.tree_intersection_ok == (
+                members_ok and "tree-intersection" not in rules)
+            lemma_failed += members_ok and not report.tree_union_ok
+            if report.hypotheses_ok:
+                held += 1
+                assert report.amalgamated == amalgamated_presentation(spec)
+            else:
+                with pytest.raises(HypothesesFailed):
+                    amalgamated_presentation(spec)
+        assert held and lemma_failed
+
+    def test_validates_each_member_once(self, monkeypatch):
+        calls = []
+
+        def counting(K: WeightedComplex):
+            calls.append(K)
+            return validate(K)
+
+        validate = wfg.vankampen.validate
+        monkeypatch.setattr(wfg.vankampen, "validate", counting)
+        verify_van_kampen(COVER)
+        assert len(calls) == 4
 
 
 def test_cover_json_requires_all_four_members():
