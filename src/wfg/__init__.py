@@ -22,7 +22,6 @@ from .analysis import (
     pentagon_ring,
 )
 from .complexes import (
-    SpanningTree,
     ValidationReport,
     WeightedComplex,
     complex_from_json,

@@ -2,10 +2,11 @@
 
 Filtration tracking: classify each stage, diff consecutive factorizations
 as multisets, and label finite births/deaths with a user-supplied
-weight-to-region map.  Hamiltonian paths double as maximal trees, so
-enumerating them and classifying the complex against each tree can tell
-different paths apart.  The two ring builders reproduce the pentagon and
-hexagon bond patterns used in the fullerene demonstration.
+weight-to-region map.  Hamiltonian paths double as maximal trees (sorted
+tuples of edge keys, like a stored or built tree), so enumerating them and
+classifying the complex against each tree can tell different paths apart.
+The two ring builders reproduce the pentagon and hexagon bond patterns used
+in the fullerene demonstration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complexes import (
-    SpanningTree,
+    Tree,
     WeightedComplex,
     _tree_violations,
     complex_from_json,
@@ -123,8 +124,8 @@ def _region(region_map: dict[int, str], factor: int) -> str:
     return region_map.get(factor, UNKNOWN_REGION)
 
 
-def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[SpanningTree]:
-    """All Hamiltonian paths of a graph, each returned as its edge set.
+def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[Tree]:
+    """All Hamiltonian paths of a graph, each returned as its sorted edge keys.
 
     A path and its reverse give the same tree; only the direction with
     path[0] <= path[-1] is reported.  Output is sorted lexicographically by
@@ -140,7 +141,7 @@ def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[SpanningTree]:
     # (neighbour, its bit, the edge key to it) for each vertex.
     steps = [tuple((u, 1 << u, (min(u, v), max(u, v))) for u in complex.adjacency[v])
              for v in range(n)]
-    found: list[tuple[tuple[int, int], ...]] = []
+    found: list[Tree] = []
     path: list[tuple[int, int]] = []  # edge keys of the current path
     count = 0
 
@@ -162,19 +163,19 @@ def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[SpanningTree]:
 
     for start in range(n):
         extend(start, 1 << start)
-    return [SpanningTree(edges, "given") for edges in sorted(found)]
+    return sorted(found)
 
 
 @dataclass(frozen=True)
 class TreeDiscriminationReport:
-    trees: tuple[SpanningTree, ...]
+    trees: tuple[Tree, ...]
     invariants: tuple
     distinguishable: bool
     used_abelianization: bool
 
 
 def discriminate_trees(
-    complex: WeightedComplex, trees: Iterable[SpanningTree]
+    complex: WeightedComplex, trees: Iterable[Tree]
 ) -> TreeDiscriminationReport:
     """Classify the complex against each maximal tree; the trees are
     distinguishable when the resulting invariants are not all equal.
@@ -184,15 +185,15 @@ def discriminate_trees(
     trees = tuple(trees)
     n, known_edges = len(complex.vertices), set(complex.edge_keys)
     for t in trees:
-        if _tree_violations(n, known_edges, t.edges):
-            raise BadTree(f"{t.edges} is not a maximal tree of the complex")
+        if _tree_violations(n, known_edges, t):
+            raise BadTree(f"{t} is not a maximal tree of the complex")
 
     factors = _tree_classifier(complex)
     try:
-        invariants = tuple(factors(t.edges) for t in trees)
+        invariants = tuple(factors(t) for t in trees)
         used_abelianization = False
     except ConditionFailed:
-        invariants = tuple(abelianization(complex.with_tree(t.edges)) for t in trees)
+        invariants = tuple(abelianization(complex.with_tree(t)) for t in trees)
         used_abelianization = True
 
     distinguishable = any(inv != invariants[0] for inv in invariants[1:])

@@ -28,6 +28,7 @@ from .analysis import (
     filtration_from_json,
 )
 from .complexes import (
+    TREE_STRATEGIES,
     WeightedComplex,
     complex_from_json,
     compute_maximal_tree,
@@ -96,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit a machine-readable JSON report")
         if tree:
-            p.add_argument("--tree", choices=("bfs", "kruskal-min", "kruskal-max"),
-                           default=None, help=_TREE_HELP[tree])
+            p.add_argument("--tree", choices=TREE_STRATEGIES, default=None,
+                           help=_TREE_HELP[tree])
         return p
 
     add("validate", "check the structural invariants of a complex", _validate_report)
@@ -183,10 +184,11 @@ def _validate_report(complex, args):
 
 
 def _tree_report(complex, args):
-    tree = compute_maximal_tree(complex, args.tree or "bfs")
-    payload = {"strategy": tree.strategy, "edges": [list(e) for e in tree.edges]}
-    text = f"{tree.strategy}: " + ", ".join(
-        "{}-{}".format(*complex.edge_labels(e)) for e in tree.edges
+    strategy = args.tree or "bfs"
+    tree = compute_maximal_tree(complex, strategy)
+    payload = {"strategy": strategy, "edges": [list(e) for e in tree]}
+    text = f"{strategy}: " + ", ".join(
+        "{}-{}".format(*complex.edge_labels(e)) for e in tree
     )
     return payload, text, 0
 
@@ -233,7 +235,7 @@ def _hamiltonian_report(complex, args):
     label = {e: "{}-{}".format(*complex.edge_labels(e)) for e in complex.edge_keys}
     write(f"{len(trees)} Hamiltonian tree(s)\n")
     for tree, inv in zip(trees, report.invariants):
-        write(f"  [{', '.join([label[e] for e in tree.edges])}] -> {inv}\n")
+        write(f"  [{', '.join([label[e] for e in tree])}] -> {inv}\n")
     write(f"distinguishable: {report.distinguishable}\n")
     return None
 
@@ -273,7 +275,7 @@ def _write_hamiltonian_json(write, edge_keys, report):
     tree is one join."""
     edge = {e: _json_array(map(str, e), 3) for e in edge_keys}
     write(f'{{\n  "count": {len(report.trees)},\n  "trees": ')
-    _write_json_array(write, (_json_array([edge[e] for e in t.edges], 2)
+    _write_json_array(write, (_json_array([edge[e] for e in t], 2)
                               for t in report.trees))
     write(',\n  "invariants": ')
     _write_json_array(write, (json.dumps(str(inv)) for inv in report.invariants))

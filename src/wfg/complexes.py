@@ -3,7 +3,8 @@
 A complex is an ordered vertex list (list position is the total order on
 vertices), integer-weighted edges stored as index pairs (a, b) with a < b,
 triangles stored as index triples (a, v, b) with a < v < b, and an optional
-maximal tree given by its edge keys.  All values are immutable; every
+maximal tree.  A maximal tree, whether stored, built or enumerated, is a
+sorted tuple of its (a, b) edge keys.  All values are immutable; every
 operation is a pure function.
 """
 
@@ -22,8 +23,9 @@ from .errors import (
 )
 
 EdgeKey = tuple[int, int]
+Tree = tuple[EdgeKey, ...]
 
-TREE_STRATEGIES = ("given", "bfs", "kruskal-min", "kruskal-max")
+TREE_STRATEGIES = ("bfs", "kruskal-min", "kruskal-max")
 
 
 class UnionFind:
@@ -63,7 +65,7 @@ class WeightedComplex:
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]
     triangles: tuple[tuple[int, int, int], ...] = ()
-    tree: Optional[tuple[EdgeKey, ...]] = None
+    tree: Optional[Tree] = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -106,21 +108,10 @@ class WeightedComplex:
         return {v: tuple(sorted(set(ns))) for v, ns in nbrs.items()}
 
     def with_tree(self, tree_edges: Iterable[EdgeKey]) -> "WeightedComplex":
-        return replace(self, tree=tuple(sorted(tree_edges)))
+        return replace(self, tree=tree_edges)
 
     def edge_labels(self, key: EdgeKey) -> tuple[str, str]:
         return (self.vertices[key[0]], self.vertices[key[1]])
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    edges: tuple[EdgeKey, ...]
-    strategy: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if self.strategy not in TREE_STRATEGIES:
-            raise ValueError(f"unknown tree strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +130,9 @@ def _tree_violations(n: int, known_edges: set[EdgeKey], tree) -> list[tuple[str,
     uf = UnionFind(n)
     if not uf.union_all(known):
         v.append(("tree-cycle", "tree edges contain a cycle"))
-    if len(tree) != n - 1 or uf.components > 1:
+    # A cycle is reported above, and an acyclic tree joining all n vertices
+    # has n - 1 edges.  The empty complex (0 components) has no tree.
+    if uf.components != 1:
         v.append(("tree-not-spanning", "tree does not span every vertex"))
     return v
 
@@ -197,22 +190,16 @@ def validate(complex: WeightedComplex) -> ValidationReport:
     return ValidationReport(not v, tuple(v))
 
 
-def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> SpanningTree:
-    """Build a maximal tree deterministically.
+def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> Tree:
+    """Build a maximal tree deterministically, as its sorted edge keys.
 
     bfs: breadth-first from vertex 0, visiting neighbors in ascending order.
     kruskal-min / kruskal-max: Kruskal ordered by |weight| ascending or
     descending, lexicographic (a, b) tie-break.
-    given: return the tree already attached to the complex.
     """
     if strategy not in TREE_STRATEGIES:
         raise ValueError(f"unknown tree strategy {strategy!r}")
     n = len(complex.vertices)
-    if strategy == "given":
-        if complex.tree is None:
-            raise MissingTree("complex has no tree attached")
-        return SpanningTree(complex.tree, "given")
-
     if strategy == "bfs":
         seen = [False] * n
         seen[0] = True
@@ -233,7 +220,7 @@ def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> Spa
     # Both builds reach every vertex exactly when the 1-skeleton is connected.
     if len(edges) < n - 1:
         raise NotConnected("the 1-skeleton is not path-connected")
-    return SpanningTree(tuple(edges), strategy)
+    return tuple(sorted(edges))
 
 
 def ensure_tree(complex: WeightedComplex, strategy: str = "bfs") -> WeightedComplex:
@@ -241,7 +228,7 @@ def ensure_tree(complex: WeightedComplex, strategy: str = "bfs") -> WeightedComp
     maximal tree that ``strategy`` builds."""
     if complex.tree is not None:
         return complex
-    return complex.with_tree(compute_maximal_tree(complex, strategy).edges)
+    return complex.with_tree(compute_maximal_tree(complex, strategy))
 
 
 def relabel(complex: WeightedComplex, permutation: Sequence[int]) -> WeightedComplex:

@@ -31,7 +31,7 @@ from wfg import (
     smith_normal_form,
     validate,
 )
-from wfg.complexes import SpanningTree, UnionFind
+from wfg.complexes import UnionFind
 from wfg.errors import ConditionFailed
 from wfg.vankampen import CoverSpec
 
@@ -274,7 +274,7 @@ def discriminate_trees_oracle(complex: WeightedComplex, trees):
     long way: a copy of the complex carrying each tree, classified, and
     every copy abelianized once any of them fails the exactly-two
     condition."""
-    variants = [complex.with_tree(t.edges) for t in trees]
+    variants = [complex.with_tree(t) for t in trees]
     try:
         return tuple(classify_oracle(v) for v in variants), False
     except ConditionFailed:
@@ -397,7 +397,7 @@ def complexes_with_trees(draw, max_vertices=6):
     trees = []
     for _ in range(draw(st.integers(1, 4))):
         uf = UnionFind(n)
-        trees.append(tuple(e for e in draw(st.permutations(keys)) if uf.union(*e)))
+        trees.append(tuple(sorted(e for e in draw(st.permutations(keys)) if uf.union(*e))))
     closed = [(a, v, b) for a, v, b in itertools.combinations(range(n), 3)
               if {(a, v), (v, b), (a, b)} <= set(keys)]
     mode = draw(st.sampled_from(["graph", "exactly-two", "any"]))
@@ -410,7 +410,7 @@ def complexes_with_trees(draw, max_vertices=6):
         triangles = draw(st.lists(st.sampled_from(closed), min_size=1, unique=True))
     stored = draw(st.sampled_from([None, trees[-1]]))
     K = WeightedComplex(tuple(f"v{i}" for i in range(n)), tuple(edges), tuple(triangles), stored)
-    return K, [SpanningTree(t, "given") for t in trees]
+    return K, trees
 
 
 def documents(max_vertices=6):
@@ -732,7 +732,7 @@ def _triangulated_grid(k: int, weight) -> WeightedComplex:
     labels, edges, triangles = _grid(k, weight)
     K = WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()),
                         tuple(triangles))
-    return K.with_tree(compute_maximal_tree(K, "bfs").edges)
+    return K.with_tree(compute_maximal_tree(K, "bfs"))
 
 
 def triangulated_grid(rng, k: int) -> WeightedComplex:
@@ -823,8 +823,7 @@ def check_equal_weight_tree_independence(rng, cases: int):
         K = random_connected_graph(rng, max_v=9, weight_range=(weight, weight))
         baseline = None
         for strategy in ("bfs", "kruskal-min", "kruskal-max"):
-            tree = compute_maximal_tree(K, strategy)
-            value = classify(K.with_tree(tree.edges))
+            value = classify(K.with_tree(compute_maximal_tree(K, strategy)))
             baseline = value if baseline is None else baseline
             assert value == baseline
         for _ in range(20):

@@ -15,7 +15,7 @@ from wfg.analysis import (
     hexagon_ring,
     pentagon_ring,
 )
-from wfg.complexes import SpanningTree, WeightedComplex, complex_from_json, validate
+from wfg.complexes import WeightedComplex, complex_from_json, validate
 from wfg.errors import BadTree, ConditionFailed, NotAGraph, NotNested, TooLarge
 from wfg.invariants import abelianization, classify
 
@@ -92,12 +92,12 @@ class TestEnumerateHamiltonianTrees:
     def test_path_graph_has_one(self):
         K = WeightedComplex(("v0", "v1", "v2"), ((0, 1, 1), (1, 2, 1)))
         trees = enumerate_hamiltonian_trees(K)
-        assert [t.edges for t in trees] == [((0, 1), (1, 2))]
+        assert trees == [((0, 1), (1, 2))]
 
     def test_triangle_graph_has_three(self):
         K = WeightedComplex(("v0", "v1", "v2"), ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
         trees = enumerate_hamiltonian_trees(K)
-        assert [t.edges for t in trees] == [
+        assert trees == [
             ((0, 1), (0, 2)),
             ((0, 1), (1, 2)),
             ((0, 2), (1, 2)),
@@ -113,9 +113,9 @@ class TestEnumerateHamiltonianTrees:
     def test_results_are_spanning_paths(self):
         K = hexagon_ring()
         for tree in enumerate_hamiltonian_trees(K):
-            assert validate(K.with_tree(tree.edges)).ok
+            assert validate(K.with_tree(tree)).ok
             degree = {}
-            for a, b in tree.edges:
+            for a, b in tree:
                 degree[a] = degree.get(a, 0) + 1
                 degree[b] = degree.get(b, 0) + 1
             assert max(degree.values()) <= 2
@@ -172,7 +172,7 @@ class TestEnumerateHamiltonianTrees:
             )
             trees, count = hamiltonian_trees_oracle(K)
             monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", count)
-            assert [t.edges for t in enumerate_hamiltonian_trees(K)] == trees
+            assert enumerate_hamiltonian_trees(K) == trees
             monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", count - 1)
             with pytest.raises(TooLarge, match=f"stopped at {count} partial"):
                 enumerate_hamiltonian_trees(K)
@@ -203,17 +203,24 @@ class TestDiscriminateTrees:
             ((0, 1, 2), (0, 2, 3), (0, 3, 5), (1, 2, 4), (2, 3, 6)),
             ((0, 1, 2),),
         )
-        good = SpanningTree(((0, 1), (1, 2), (2, 3)), "given")
-        bad = SpanningTree(((0, 1), (0, 3), (2, 3)), "given")
+        good = ((0, 1), (1, 2), (2, 3))
+        bad = ((0, 1), (0, 3), (2, 3))
         report = discriminate_trees(K, [good, bad])
         assert report.used_abelianization
         assert report.invariants == tuple(
-            abelianization(K.with_tree(t.edges)) for t in (good, bad)
+            abelianization(K.with_tree(t)) for t in (good, bad)
         )
+
+    def test_accepts_a_generator_of_tuples(self):
+        K = WeightedComplex(("v0", "v1", "v2"), ((0, 1, 2), (0, 2, 5), (1, 2, 3)))
+        trees = enumerate_hamiltonian_trees(K)
+        report = discriminate_trees(K, (t for t in trees))
+        assert report.trees == tuple(trees)
+        assert report.invariants == discriminate_trees(K, trees).invariants
 
     def test_single_tree_is_not_distinguishable(self):
         K = WeightedComplex(("v0", "v1"), ((0, 1, 3),))
-        report = discriminate_trees(K, [SpanningTree(((0, 1),), "given")])
+        report = discriminate_trees(K, [((0, 1),)])
         assert not report.distinguishable
 
     @settings(max_examples=200)
@@ -231,7 +238,7 @@ class TestDiscriminateTrees:
         with pytest.raises(BadTree):
             discriminate_trees(
                 WeightedComplex(("v0", "v1"), ((0, 1, 1),)),
-                [SpanningTree((), "given")],
+                [()],
             )
 
 

@@ -509,14 +509,14 @@ class TestHamiltonianReport:
         report = discriminate_trees(K, trees)
         payload = {
             "count": len(trees),
-            "trees": [t.edges for t in trees],
+            "trees": trees,
             "invariants": [str(inv) for inv in report.invariants],
             "used_abelianization": report.used_abelianization,
             "distinguishable": report.distinguishable,
         }
         lines = [f"{len(trees)} Hamiltonian tree(s)"]
         for tree, inv in zip(trees, report.invariants):
-            edges = ", ".join("{}-{}".format(*K.edge_labels(e)) for e in tree.edges)
+            edges = ", ".join("{}-{}".format(*K.edge_labels(e)) for e in tree)
             lines.append(f"  [{edges}] -> {inv}")
         lines.append(f"distinguishable: {report.distinguishable}")
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from wfg.complexes import (
+    TREE_STRATEGIES,
     WeightedComplex,
     complex_from_json,
     complex_to_json,
@@ -70,6 +71,13 @@ class TestValidate:
         foreign = WeightedComplex(("v0", "v1"), ((0, 1, 1),), tree=((0, 2),))
         assert "tree-unknown-edge" in rules_of(validate(foreign))
 
+    def test_cyclic_tree_reaching_every_vertex_is_only_a_cycle(self):
+        # All three edges of a triangle reach every vertex: one violation.
+        K = WeightedComplex(("v0", "v1", "v2"), ((0, 1, 1), (0, 2, 1), (1, 2, 1)),
+                            tree=((0, 1), (0, 2), (1, 2)))
+        assert validate(K).violations == (("tree-cycle", "tree edges contain a cycle"),)
+        assert not is_spanning_tree(K, K.tree)
+
     def test_every_violation_reported_at_once(self):
         K = WeightedComplex(("v0", "v0"), ((1, 0, 1),))
         rules = rules_of(validate(K))
@@ -79,27 +87,36 @@ class TestValidate:
 class TestComputeMaximalTree:
     def test_tree_of_a_path_is_itself(self):
         K = WeightedComplex(("v0", "v1", "v2"), ((0, 1, 1), (1, 2, 1)))
-        assert compute_maximal_tree(K, "bfs").edges == ((0, 1), (1, 2))
+        assert compute_maximal_tree(K, "bfs") == ((0, 1), (1, 2))
 
     def test_bfs_on_four_cycle(self):
         K = WeightedComplex(
             ("v0", "v1", "v2", "v3"),
             ((0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1)),
         )
-        assert compute_maximal_tree(K, "bfs").edges == ((0, 1), (0, 3), (1, 2))
+        assert compute_maximal_tree(K, "bfs") == ((0, 1), (0, 3), (1, 2))
 
     def test_kruskal_min_picks_smallest_weights(self):
         K = WeightedComplex(
             ("v0", "v1", "v2"),
             ((0, 1, 2), (0, 2, 5), (1, 2, -3)),
         )
-        assert compute_maximal_tree(K, "kruskal-min").edges == ((0, 1), (1, 2))
-        assert compute_maximal_tree(K, "kruskal-max").edges == ((0, 2), (1, 2))
+        assert compute_maximal_tree(K, "kruskal-min") == ((0, 1), (1, 2))
+        assert compute_maximal_tree(K, "kruskal-max") == ((0, 2), (1, 2))
 
-    def test_given_strategy(self):
-        assert compute_maximal_tree(FIGURE1, "given").edges == FIGURE1.tree
-        with pytest.raises(MissingTree):
-            compute_maximal_tree(WeightedComplex(("v0", "v1"), ((0, 1, 1),)), "given")
+    def test_given_is_not_a_strategy(self):
+        # A stored tree is read from ``complex.tree``; no strategy returns it.
+        assert "given" not in TREE_STRATEGIES
+        with pytest.raises(ValueError):
+            compute_maximal_tree(FIGURE1, "given")
+
+    def test_tree_is_sorted_edge_keys(self):
+        K = WeightedComplex(("v0", "v1", "v2", "v3"),
+                            ((0, 3, 1), (1, 3, 9), (2, 3, 5), (0, 1, 7)))
+        for strategy in TREE_STRATEGIES:
+            tree = compute_maximal_tree(K, strategy)
+            assert type(tree) is tuple and tree == tuple(sorted(tree))
+            assert K.with_tree(reversed(tree)).tree == tree
 
     def test_disconnected_raises(self):
         K = WeightedComplex(("v0", "v1", "v2"), ((0, 1, 1),))
@@ -113,10 +130,10 @@ class TestComputeMaximalTree:
         for _ in range(50):
             K = random_connected_graph(rng)
             n = len(K.vertices)
-            for strategy in ("bfs", "kruskal-min", "kruskal-max"):
+            for strategy in TREE_STRATEGIES:
                 tree = compute_maximal_tree(K, strategy)
-                assert len(tree.edges) == n - 1
-                assert is_spanning_tree(K, tree.edges)
+                assert len(tree) == n - 1
+                assert is_spanning_tree(K, tree)
 
 
 class TestRelabel:

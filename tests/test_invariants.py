@@ -127,7 +127,7 @@ class TestClassify:
     def test_matches_oracle_on_maximal_trees(self, case):
         K, trees = case
         for t in trees:
-            self.check_against_oracle(K.with_tree(t.edges))
+            self.check_against_oracle(K.with_tree(t))
 
     @staticmethod
     def check_against_oracle(K):
