@@ -41,7 +41,6 @@ from .exact import (
 )
 from .invariants import (
     CyclicFactorization,
-    LcsRanks,
     WeightedHomology,
     abelianization,
     classify,
@@ -59,7 +58,6 @@ from .presentation import (
     free_reduce,
     present,
     presentation_to_json,
-    simplify,
 )
 from .vankampen import (
     CoverSpec,

@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
               _lcs_report, tree="use")
     lcs.add_argument("--max-n", type=int, default=6, dest="max_n",
                      help="compute R_1..R_N (default 6)")
-    lcs.add_argument("--series-order", type=int, default=16, dest="series_order",
-                     help="checked against --max-n; does not change the "
-                          "result (default 16)")
     add("vankampen", "check a two-piece cover and compare both presentations",
         _vankampen_report, kind=CoverSpec)
     filtration = add("filtration", "birth/death events along a filtration",
@@ -220,7 +217,7 @@ def _lcs_report(complex, args):
     factors = classify(complex)
     _check_rank_digits(factors.free_count, args.max_n)
     _check_max_n(args.max_n)
-    ranks = lcs_free_ranks(factors, args.max_n, args.series_order).ranks
+    ranks = lcs_free_ranks(factors, args.max_n)
     text = " ".join(f"R{n}={r}" for n, r in enumerate(ranks, 1))
     return {"factors": list(factors.orders), "ranks": list(ranks), "text": text}, text, 0
 

@@ -200,6 +200,8 @@ def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> Tre
     if strategy not in TREE_STRATEGIES:
         raise ValueError(f"unknown tree strategy {strategy!r}")
     n = len(complex.vertices)
+    if n == 0:  # no component at all, so no tree, as in _tree_violations
+        raise NotConnected("the complex has no vertices")
     if strategy == "bfs":
         seen = [False] * n
         seen[0] = True

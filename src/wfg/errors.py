@@ -59,10 +59,6 @@ class ConditionFailed(PreconditionError):
         self.stage = stage
 
 
-class TruncationTooSmall(PreconditionError):
-    """Series truncation order is below the requested rank index."""
-
-
 class NonIntegerRank(WfgError):
     """Internal consistency failure: a lower-central-series rank came out
     non-integral or negative.  Signals a bug, never expected at runtime."""

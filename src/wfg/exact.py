@@ -53,54 +53,12 @@ class IntegerMatrix:
             raise ShapeMismatch(f"rows have {width} columns, expected {cols}")
         return cls(len(rows), width, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i * self.cols:(i + 1) * self.cols]
-            for j in range(other.cols):
-                out.append(sum(row[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ShapeMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss: this division is exact over the integers.
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.determinant()) == 1
 
 
 @dataclass(frozen=True)
@@ -130,8 +88,8 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     """
     m, n = A.rows, A.cols
     M = A.to_rows()
-    U = IntegerMatrix.identity(m).to_rows()
-    V = IntegerMatrix.identity(n).to_rows()
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def move(t, i, j):
         """Swap row i with row t and column j with column t."""
@@ -271,10 +229,10 @@ def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGro
     operation changes the pivot row alone, so the row is reduced modulo p
     in place; if nothing is left but p, row and column split off as the
     diagonal entry |p|.  A unit pivot always splits, which is the matrix
-    form of the Tietze move in ``presentation.simplify``.  Any remainder
-    is smaller than |p|, so the least |entry| strictly falls until the
-    next split.  The 1s are then dropped and the rest recombined into
-    invariant factors by ``AbelianGroup.from_cyclic_orders``.
+    form of the Tietze move that drops a generator and its relator g^(+-1).
+    Any remainder is smaller than |p|, so the least |entry| strictly falls
+    until the next split.  The 1s are then dropped and the rest recombined
+    into invariant factors by ``AbelianGroup.from_cyclic_orders``.
     """
     if A.cols != n_generators:
         raise ShapeMismatch(

@@ -19,7 +19,6 @@ from .errors import (
     MissingTree,
     NonIntegerRank,
     NonPositive,
-    TruncationTooSmall,
     ZeroWeightEdge,
 )
 from .exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix, mobius
@@ -179,23 +178,6 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
     return WeightedHomology(h0=h0, h1=h1)
 
 
-@dataclass(frozen=True)
-class LcsRanks:
-    """Free ranks R_1..R_order of the successive lower-central-series
-    quotients."""
-
-    ranks: tuple[int, ...]
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if len(self.ranks) != self.order:
-            raise ValueError("rank list length must equal order")
-
-    def r(self, n: int) -> int:
-        return self.ranks[n - 1]
-
-
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -208,7 +190,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def lcs_free_ranks(g: CyclicFactorization, max_n: int, order: int = 16) -> LcsRanks:
+def lcs_free_ranks(g: CyclicFactorization, max_n: int) -> tuple[int, ...]:
     """Free ranks R_1..R_max_n of the lower-central-series quotients.
 
     R_1 is the number m of infinite factors.  For n > 1 the
@@ -229,14 +211,11 @@ def lcs_free_ranks(g: CyclicFactorization, max_n: int, order: int = 16) -> LcsRa
 
     Witt's necklace count (Magnus, Karrass and Solitar, Combinatorial Group
     Theory, section 5.6).  The finite orders drop out: the ranks depend
-    only on m.  ``order`` is the truncation order of the series; it is
-    still checked against max_n but does not change the result."""
+    only on m."""
     if max_n < 1:
         raise NonPositive(f"max_n must be >= 1, got {max_n}")
-    if order < max_n:
-        raise TruncationTooSmall(f"series order {order} < max_n {max_n}")
     m = g.free_count
-    return LcsRanks(tuple(witt_rank(m, n) for n in range(1, max_n + 1)), max_n)
+    return tuple(witt_rank(m, n) for n in range(1, max_n + 1))
 
 
 def witt_rank(m: int, n: int) -> int:

@@ -100,37 +100,6 @@ def present(complex: WeightedComplex) -> Presentation:
     return Presentation(tuple(generator_label(a, b) for a, b in keys), tuple(relators))
 
 
-def simplify(p: Presentation) -> Presentation:
-    """Safe Tietze moves only: drop empty relators, eliminate generators
-    killed by a length-1 exponent-±1 relator, and freely reduce.  The
-    result presents the same group."""
-    generators = list(p.generators)
-    relators = [list(w) for w in p.relators]
-
-    changed = True
-    while changed:
-        changed = False
-        reduced = [list(free_reduce(w)) for w in relators]
-        reduced = [w for w in reduced if w]
-        if len(reduced) != len(relators):
-            changed = True
-        relators = reduced
-
-        doomed = None
-        for w in relators:
-            if len(w) == 1 and abs(w[0][1]) == 1:
-                doomed = w[0][0]
-                break
-        if doomed is not None:
-            generators.pop(doomed)
-            relators = [
-                [(g - (g > doomed), e) for g, e in w if g != doomed] for w in relators
-            ]
-            changed = True
-
-    return Presentation(tuple(generators), tuple(tuple(w) for w in relators))
-
-
 def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
     """One row per relator, one column per generator, entries the signed
     exponent sums."""

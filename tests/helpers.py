@@ -19,12 +19,14 @@ from wfg import (
     CyclicFactorization,
     Filtration,
     IntegerMatrix,
+    Presentation,
     WeightedComplex,
     abelianization,
     analyze_filtration,
     classify,
     complex_to_json,
     compute_maximal_tree,
+    free_reduce,
     normalize_factorization,
     realize,
     relabel,
@@ -32,7 +34,7 @@ from wfg import (
     validate,
 )
 from wfg.complexes import UnionFind
-from wfg.errors import ConditionFailed
+from wfg.errors import ConditionFailed, ShapeMismatch
 from wfg.vankampen import CoverSpec
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
@@ -206,6 +208,80 @@ def lcs_ranks_oracle(orders, max_n: int, order: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def identity_matrix(n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
+def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return IntegerMatrix(a.rows, b.cols, tuple(
+        sum(row[k] * b.entry(k, j) for k in range(a.cols))
+        for row in a.to_rows() for j in range(b.cols)))
+
+
+def determinant(A: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if A.rows != A.cols:
+        raise ShapeMismatch("determinant of a non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    m = A.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss: this division is exact over the integers.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def is_unimodular(A: IntegerMatrix) -> bool:
+    return A.rows == A.cols and abs(determinant(A)) == 1
+
+
+def simplify(p: Presentation) -> Presentation:
+    """Safe Tietze moves only: drop empty relators, eliminate generators
+    killed by a length-1 exponent-±1 relator, and freely reduce.  The
+    result presents the same group; the invariant-factor kernel's unit
+    pivots are the same moves on the relation matrix."""
+    generators = list(p.generators)
+    relators = [list(w) for w in p.relators]
+
+    changed = True
+    while changed:
+        changed = False
+        reduced = [list(free_reduce(w)) for w in relators]
+        reduced = [w for w in reduced if w]
+        if len(reduced) != len(relators):
+            changed = True
+        relators = reduced
+
+        doomed = None
+        for w in relators:
+            if len(w) == 1 and abs(w[0][1]) == 1:
+                doomed = w[0][0]
+                break
+        if doomed is not None:
+            generators.pop(doomed)
+            relators = [
+                [(g - (g > doomed), e) for g, e in w if g != doomed] for w in relators
+            ]
+            changed = True
+
+    return Presentation(tuple(generators), tuple(tuple(w) for w in relators))
+
+
 def snf_diagonal_oracle(A: IntegerMatrix) -> list[int]:
     """Smith diagonal from determinantal divisors, independent of the
     library's elimination: d_k = D_k / D_(k-1), where D_k is the gcd of all
@@ -218,7 +294,7 @@ def snf_diagonal_oracle(A: IntegerMatrix) -> list[int]:
         for r in itertools.combinations(range(A.rows), k):
             for c in itertools.combinations(range(A.cols), k):
                 minor = IntegerMatrix.from_rows([[rows[i][j] for j in c] for i in r], k)
-                delta = math.gcd(delta, minor.determinant())
+                delta = math.gcd(delta, determinant(minor))
         if delta == 0:
             return diag + [0] * (size - k + 1)
         diag.append(delta // previous)
@@ -510,7 +586,7 @@ def random_matrix(rng, max_dim=6, span=9) -> IntegerMatrix:
 
 
 def random_unimodular(rng, n: int) -> IntegerMatrix:
-    m = IntegerMatrix.identity(n).to_rows()
+    m = identity_matrix(n).to_rows()
     for _ in range(2 * n + 2):
         if n < 2:
             break
@@ -783,14 +859,14 @@ def check_snf_contract(rng, cases: int):
     for _ in range(cases):
         A = random_matrix(rng)
         result = smith_normal_form(A)
-        assert result.U.mul(A).mul(result.V) == result.D
-        assert result.U.is_unimodular() and result.V.is_unimodular()
+        assert matmul(matmul(result.U, A), result.V) == result.D
+        assert is_unimodular(result.U) and is_unimodular(result.V)
         diag = result.diagonal()
         assert all(d >= 0 for d in diag)
         nonzero = [d for d in diag if d != 0]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
         if A.rows == A.cols:
-            det = A.determinant()
+            det = determinant(A)
             if det != 0:
                 product = 1
                 for d in diag:
@@ -799,7 +875,7 @@ def check_snf_contract(rng, cases: int):
         # The diagonal is a complete invariant under unimodular changes.
         P = random_unimodular(rng, A.rows)
         Q = random_unimodular(rng, A.cols)
-        assert smith_normal_form(P.mul(A).mul(Q)).diagonal() == diag
+        assert smith_normal_form(matmul(matmul(P, A), Q)).diagonal() == diag
 
 
 def check_sign_flip_invariance(rng, cases: int):

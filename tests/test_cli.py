@@ -13,6 +13,7 @@ from wfg import cli
 from wfg.cli import main, parse_input
 from wfg.complexes import WeightedComplex, complex_to_json
 from wfg.errors import ParseError, SchemaError, TooLarge
+from wfg.invariants import witt_rank
 from wfg.vankampen import CoverSpec
 from wfg.analysis import Filtration, discriminate_trees, enumerate_hamiltonian_trees
 
@@ -294,7 +295,7 @@ class TestHelp:
         "classify": BASE | {"--tree"},
         "abelianize": BASE | {"--tree"},
         "homology": BASE,
-        "lcs": BASE | {"--tree", "--max-n", "--series-order"},
+        "lcs": BASE | {"--tree", "--max-n"},
         "vankampen": BASE,
         "filtration": BASE | {"--fallback-abelian"},
         "hamiltonian": BASE,
@@ -327,8 +328,7 @@ class TestHelp:
 class TestLcsRankBound:
     def test_ranks_too_long_to_print_exit_2(self, capsys):
         start = time.perf_counter()
-        code, out, err = run(capsys, "lcs", "--max-n", "14500", "--series-order", "14500",
-                             fig("figure1-w0-2.json"))
+        code, out, err = run(capsys, "lcs", "--max-n", "14500", fig("figure1-w0-2.json"))
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -338,22 +338,26 @@ class TestLcsRankBound:
         assert code == 0
         assert out == "R1=2 R2=1 R3=2 R4=3 R5=6 R6=9 R7=18 R8=30\n"
 
+    def test_max_n_past_sixteen_needs_no_other_flag(self, capsys):
+        # The ranks are a closed form, so no truncation order caps --max-n.
+        code, out, err = run(capsys, "lcs", fig("figure1-w0-2.json"), "--max-n", "20")
+        assert (code, err) == (0, "")
+        assert out == " ".join(f"R{n}={witt_rank(2, n)}" for n in range(1, 21)) + "\n"
+
     # m = 0, 1 and 2 infinite factors.
     @pytest.mark.parametrize("name", ["figure2.json", "figure1.json", "figure1-w0-2.json"])
     def test_max_n_capped_for_every_factorization(self, capsys, name):
         start = time.perf_counter()
-        code, out, err = run(capsys, "lcs", "--max-n", "320000", "--series-order", "320000",
-                             fig(name))
+        code, out, err = run(capsys, "lcs", "--max-n", "320000", fig(name))
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_max_n_cap_boundary(self, capsys):
-        code, out, _ = run(capsys, "lcs", "--max-n", str(cli.MAX_N_LIMIT),
-                           "--series-order", str(cli.MAX_N_LIMIT), fig("figure1.json"))
+        code, out, _ = run(capsys, "lcs", "--max-n", str(cli.MAX_N_LIMIT), fig("figure1.json"))
         assert code == 0 and out.endswith(f"R{cli.MAX_N_LIMIT}=0\n")
         code, out, err = run(capsys, "lcs", "--max-n", str(cli.MAX_N_LIMIT + 1),
-                             "--series-order", str(cli.MAX_N_LIMIT + 1), fig("figure1.json"))
+                             fig("figure1.json"))
         assert code == 2 and out == ""
         assert err == f"error: --max-n {cli.MAX_N_LIMIT + 1} is past the limit of " \
                       f"{cli.MAX_N_LIMIT}; lower --max-n\n"

@@ -10,6 +10,7 @@ from wfg.complexes import (
     complex_from_json,
     complex_to_json,
     compute_maximal_tree,
+    ensure_tree,
     is_spanning_tree,
     is_weighted_subcomplex,
     relabel,
@@ -124,6 +125,15 @@ class TestComputeMaximalTree:
             compute_maximal_tree(K, "bfs")
         with pytest.raises(NotConnected):
             compute_maximal_tree(K, "kruskal-min")
+
+    @pytest.mark.parametrize("strategy", TREE_STRATEGIES)
+    def test_no_vertices_raises(self, strategy):
+        # No vertex, no component: every strategy refuses before building.
+        K = WeightedComplex((), ())
+        with pytest.raises(NotConnected):
+            compute_maximal_tree(K, strategy)
+        with pytest.raises(NotConnected):
+            ensure_tree(K, strategy)
 
     def test_all_strategies_give_spanning_trees(self):
         rng = random.Random(31)

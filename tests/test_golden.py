@@ -42,7 +42,7 @@ FLAG_VARIANTS = (
      for verb in ("tree", "present", "classify", "abelianize", "lcs")
      for strategy in ("bfs", "kruskal-min", "kruskal-max")]
     + [["lcs", "--max-n", "8"],
-       ["lcs", "--max-n", "3", "--series-order", "2"],
+       ["lcs", "--max-n", "20"],
        ["filtration", "--fallback-abelian"]]
 )
 

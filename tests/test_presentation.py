@@ -11,10 +11,9 @@ from wfg.presentation import (
     free_reduce,
     present,
     presentation_to_json,
-    simplify,
 )
 
-from helpers import load_figure, random_exactly_two_complex
+from helpers import load_figure, random_exactly_two_complex, simplify
 
 FIGURE1 = complex_from_json(load_figure("figure1.json"))
 FIGURE2 = complex_from_json(load_figure("figure2.json"))
@@ -84,6 +83,8 @@ class TestSimplify:
         assert simplify(p) == p
 
     def test_preserves_abelianization(self):
+        # abelianized_group runs the invariant-factor kernel, so its result
+        # must not change under the Tietze moves of simplify.
         rng = random.Random(47)
         for _ in range(80):
             n = rng.randint(1, 5)
