@@ -46,8 +46,10 @@ from .invariants import (
 from .presentation import present, presentation_to_json
 from .vankampen import CoverSpec, cover_from_json, verify_van_kampen
 
-# Python converts no integer of more than this many decimal digits to text.
-RANK_DIGIT_LIMIT = 4300
+# The most decimal digits Python converts to text: the interpreter's limit
+# (0 means none, and Python before 3.10.7 has none), capped at the default
+# of 4300 so that a raised limit does not move the documented bounds.
+RANK_DIGIT_LIMIT = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
 _DIGIT_BOUND = 10 ** RANK_DIGIT_LIMIT  # the least integer past the limit
 # Largest --max-n for any factorization.  Since 2^(10k/3) > 10^k, every
 # larger max_n already fails the digit bound when m >= 2.

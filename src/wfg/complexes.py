@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -68,20 +69,21 @@ class WeightedComplex:
     tree: Optional[Tree] = None
 
     def __post_init__(self):
+        # operator.index, not int: a weight of 2.5 or "7" is a TypeError.
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(
             self,
             "edges",
-            tuple(sorted({(int(a), int(b), int(w)) for a, b, w in self.edges})),
+            tuple(sorted({(index(a), index(b), index(w)) for a, b, w in self.edges})),
         )
         object.__setattr__(
             self,
             "triangles",
-            tuple(sorted({(int(a), int(v), int(b)) for a, v, b in self.triangles})),
+            tuple(sorted({(index(a), index(v), index(b)) for a, v, b in self.triangles})),
         )
         if self.tree is not None:
             object.__setattr__(
-                self, "tree", tuple(sorted({(int(a), int(b)) for a, b in self.tree}))
+                self, "tree", tuple(sorted({(index(a), index(b)) for a, b in self.tree}))
             )
 
     @cached_property
@@ -94,9 +96,6 @@ class WeightedComplex:
         for a, b, w in self.edges:
             out.setdefault((a, b), w)
         return out
-
-    def weight(self, a: int, b: int) -> int:
-        return self.weight_of[(a, b)]
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:

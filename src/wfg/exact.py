@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -40,7 +41,8 @@ class IntegerMatrix:
                 f"{self.rows}x{self.cols} matrix needs "
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
+        # operator.index, not int: 2.9 or "7" is no integer entry.
+        object.__setattr__(self, "entries", tuple(map(operator.index, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -171,10 +173,6 @@ class AbelianGroup:
             if b % a != 0:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":
         """Direct sum of cyclic groups (order 0 meaning Z), recombined into
@@ -207,8 +205,9 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGroup:
-    """Cokernel of A^T: the group Z^n_generators modulo the row space of A.
+def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
+    """Cokernel of A^T: the group Z^A.cols modulo the row space of A, one
+    generator per column.
 
     Up to isomorphism the group is fixed by the Smith diagonal of A alone;
     U and V would only name its generators.  So no transform is kept, and
@@ -234,10 +233,6 @@ def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGro
     until the next split.  The 1s are then dropped and the rest recombined
     into invariant factors by ``AbelianGroup.from_cyclic_orders``.
     """
-    if A.cols != n_generators:
-        raise ShapeMismatch(
-            f"relation matrix has {A.cols} columns but there are {n_generators} generators"
-        )
     n = A.cols
     positions = range(n)
     rows: dict[int, dict[int, int]] = {}
@@ -323,7 +318,7 @@ def abelian_group_from_matrix(A: IntegerMatrix, n_generators: int) -> AbelianGro
             else:
                 current.pop(i, None)
     torsion = [d for d in orders if d != 1]
-    return AbelianGroup.from_cyclic_orders([0] * (n_generators - len(orders)) + torsion)
+    return AbelianGroup.from_cyclic_orders([0] * (n - len(orders)) + torsion)
 
 
 def mobius(n: int) -> int:

@@ -21,8 +21,8 @@ from .errors import (
     NonPositive,
     ZeroWeightEdge,
 )
-from .exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix, mobius
-from .presentation import abelianized_group, present
+from .exact import AbelianGroup, mobius
+from .presentation import Presentation, abelianized_group, present
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,13 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
     zero = next((e for e in complex.edges if e[2] == 0), None)
     if zero is not None:
         raise ZeroWeightEdge(f"edge ({zero[0]},{zero[1]}) has weight 0")
-    n_v = len(complex.vertices)
-    n_e = len(complex.edges)
-    # The transposed boundary: one row per edge, -w at [a] and +w at [b].
-    entries = [0] * (n_e * n_v)
-    for i, (a, b, w) in enumerate(complex.edges):
-        entries[i * n_v + a] -= w
-        entries[i * n_v + b] += w
+    # H0 is the cokernel of the transposed boundary, whose row for edge
+    # [a, b] is -w at [a] and +w at [b]: one relator per edge.
+    h0 = abelianized_group(Presentation(
+        complex.vertices, [((a, -w), (b, w)) for a, b, w in complex.edges]))
     # The boundary and its transpose share one Smith diagonal, so the rank
     # that H1 needs is read off the cokernel H0: rank = n_v - free rank.
-    h0 = abelian_group_from_matrix(IntegerMatrix(n_e, n_v, entries), n_v)
-    h1 = AbelianGroup(n_e - (n_v - h0.free_rank))
+    h1 = AbelianGroup(len(complex.edges) - (len(complex.vertices) - h0.free_rank))
     return WeightedHomology(h0=h0, h1=h1)
 
 

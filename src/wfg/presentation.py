@@ -114,7 +114,7 @@ def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
 
 def abelianized_group(p: Presentation) -> AbelianGroup:
     """Abelianization of the presented group, by Smith normal form."""
-    return abelian_group_from_matrix(abelianized_relation_matrix(p), len(p.generators))
+    return abelian_group_from_matrix(abelianized_relation_matrix(p))
 
 
 def presentation_to_json(p: Presentation) -> dict:

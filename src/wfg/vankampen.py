@@ -63,17 +63,28 @@ class CoverSpec:
 
 @dataclass(frozen=True)
 class VanKampenReport:
-    hypotheses_ok: bool
+    """The fields after the tree equalities are None when the hypotheses
+    fail; ``factorizations`` is also None when L fails exactly-two."""
+
     hypothesis_report: ValidationReport
     tree_union_ok: bool
     tree_intersection_ok: bool
-    amalgamated: Optional[Presentation]
-    direct: Optional[Presentation]
-    abelianization_amalgamated: Optional[AbelianGroup]
-    abelianization_direct: Optional[AbelianGroup]
-    abelianizations_equal: Optional[bool]
-    factorizations: Optional[tuple[CyclicFactorization, CyclicFactorization]]
-    generator_classes: Optional[dict[str, tuple[LabelEdge, ...]]]
+    amalgamated: Optional[Presentation] = None
+    direct: Optional[Presentation] = None
+    abelianization_amalgamated: Optional[AbelianGroup] = None
+    abelianization_direct: Optional[AbelianGroup] = None
+    factorizations: Optional[tuple[CyclicFactorization, CyclicFactorization]] = None
+    generator_classes: Optional[dict[str, tuple[LabelEdge, ...]]] = None
+
+    @property
+    def hypotheses_ok(self) -> bool:
+        return self.hypothesis_report.ok
+
+    @property
+    def abelianizations_equal(self) -> Optional[bool]:
+        if self.abelianization_direct is None:
+            return None
+        return self.abelianization_amalgamated == self.abelianization_direct
 
 
 def _labels(K: WeightedComplex):
@@ -207,26 +218,12 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
     presentation of L, and compare their computable invariants."""
     report, union_ok, intersection_ok = _hypotheses(spec)
     if not report.ok:
-        return VanKampenReport(
-            hypotheses_ok=False,
-            hypothesis_report=report,
-            tree_union_ok=union_ok,
-            tree_intersection_ok=intersection_ok,
-            amalgamated=None,
-            direct=None,
-            abelianization_amalgamated=None,
-            abelianization_direct=None,
-            abelianizations_equal=None,
-            factorizations=None,
-            generator_classes=None,
-        )
+        return VanKampenReport(report, union_ok, intersection_ok)
 
     mapped = _mapped(spec)
     classes = _generator_classes(mapped)
     amalgamated = _amalgamate(spec.L, mapped)
     direct = present(spec.L)
-    ab_amalgamated = abelianized_group(amalgamated)
-    ab_direct = abelianized_group(direct)
     factorizations = None
     if satisfies_exactly_two(spec.L):
         factorizations = (classify(spec.L), _cover_factorization(spec.L, classes))
@@ -236,15 +233,13 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
         for name, edges in classes.items()
     }
     return VanKampenReport(
-        hypotheses_ok=True,
         hypothesis_report=report,
         tree_union_ok=union_ok,
         tree_intersection_ok=intersection_ok,
         amalgamated=amalgamated,
         direct=direct,
-        abelianization_amalgamated=ab_amalgamated,
-        abelianization_direct=ab_direct,
-        abelianizations_equal=ab_amalgamated == ab_direct,
+        abelianization_amalgamated=abelianized_group(amalgamated),
+        abelianization_direct=abelianized_group(direct),
         factorizations=factorizations,
         generator_classes=label_classes,
     )

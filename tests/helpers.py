@@ -302,10 +302,10 @@ def snf_diagonal_oracle(A: IntegerMatrix) -> list[int]:
     return diag
 
 
-def dense_abelian_group(A: IntegerMatrix, n_generators: int) -> AbelianGroup:
+def dense_abelian_group(A: IntegerMatrix) -> AbelianGroup:
     """Cokernel of A^T read off the dense Smith form, U and V included: the
     oracle for the sparse kernel behind ``abelian_group_from_matrix``."""
-    return diagonal_group(smith_normal_form(A).diagonal(), n_generators)
+    return diagonal_group(smith_normal_form(A).diagonal(), A.cols)
 
 
 def cyclic_orders_oracle(orders) -> AbelianGroup:

@@ -112,9 +112,7 @@ def test_criterion_7_van_kampen_figure4():
     for i, m in enumerate(orders):
         if m != 0:
             rows.append([m if j == i else 0 for j in range(len(orders))])
-    expected = abelian_group_from_matrix(
-        IntegerMatrix.from_rows(rows, len(orders)), len(orders)
-    )
+    expected = abelian_group_from_matrix(IntegerMatrix.from_rows(rows, len(orders)))
 
     ok = (
         unit.hypotheses_ok

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -428,6 +432,36 @@ class TestFactorDigitBound:
         for factor in (10 ** 4300, -(10 ** 4300)):
             with pytest.raises(TooLarge):
                 cli._check_factor_digits([2, factor])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer string conversion limit")
+class TestInterpreterDigitLimit:
+    """The digit bound follows a lowered interpreter limit: with
+    PYTHONINTMAXSTRDIGITS=640 each run exits 2 with one line naming 640,
+    where a fixed bound of 4300 let Python's own ValueError through."""
+
+    W = 10 ** 399  # W and W + 1 are coprime: a factor of 799 digits
+
+    @pytest.mark.parametrize("case", ["abelianize", "homology", "lcs"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_lowered_limit_exits_2(self, tmp_path, case, as_json):
+        if case == "lcs":
+            argv = ["lcs", fig("figure1-w0-2.json"), "--max-n", "3000"]
+        else:
+            star = {"vertices": ["c", "x", "y"],
+                    "edges": [{"a": 0, "b": 1, "w": self.W}, {"a": 0, "b": 2, "w": self.W + 1}]}
+            path = tmp_path / "star.json"
+            path.write_text(json.dumps(star), encoding="utf-8")
+            argv = [case, str(path)]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "wfg.cli", *argv,
+                               *(["--json"] if as_json else [])],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error:") and " 640 " in done.stderr
 
 
 @pytest.mark.parametrize("verb", VERBS)

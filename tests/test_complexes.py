@@ -32,6 +32,25 @@ def rules_of(report):
     return {rule for rule, _ in report.violations}
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "7"])
+    def test_non_integer_values_rejected(self, bad):
+        # int() would read a weight of 2.5 as 2 (classify Z/2, validate ok)
+        # and the string "7" as 7.
+        for edges, triangles, tree in (
+            (((0, 1, bad), (1, 2, 1), (0, 2, 1)), (), None),
+            (((0, 1, 1), (1, 2, 1), (0, 2, 1)), ((0, 1, bad),), None),
+            (((0, 1, 1), (1, 2, 1), (0, 2, 1)), (), ((0, bad), (1, 2))),
+        ):
+            with pytest.raises(TypeError):
+                WeightedComplex(("a", "b", "c"), edges, triangles, tree)
+
+    def test_bools_become_ints(self):
+        K = WeightedComplex(("a", "b"), ((False, True, True),), (), ((False, True),))
+        assert K.edges == ((0, 1, 1),) and K.tree == ((0, 1),)
+        assert all(type(x) is int for x in K.edges[0] + K.tree[0])
+
+
 class TestValidate:
     def test_figure1_is_valid(self):
         assert validate(FIGURE1).ok

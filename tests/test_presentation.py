@@ -62,7 +62,7 @@ class TestPresent:
                 1
                 for a, v, b in K.triangles
                 if free_reduce(
-                    [(0, -K.weight(a, b)), (1, K.weight(a, v)), (2, K.weight(v, b))]
+                    [(0, -K.weight_of[a, b]), (1, K.weight_of[a, v]), (2, K.weight_of[v, b])]
                 )
             )
             assert len(p.relators) == expected

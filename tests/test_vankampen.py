@@ -30,7 +30,7 @@ def expected_from_factors(orders):
     for i, m in enumerate(orders):
         if m != 0:
             rows.append([m if j == i else 0 for j in range(len(orders))])
-    return abelian_group_from_matrix(IntegerMatrix.from_rows(rows, len(orders)), len(orders))
+    return abelian_group_from_matrix(IntegerMatrix.from_rows(rows, len(orders)))
 
 
 class TestCheckHypotheses:
