@@ -5,7 +5,12 @@ vertices), integer-weighted edges stored as index pairs (a, b) with a < b,
 triangles stored as index triples (a, v, b) with a < v < b, and an optional
 maximal tree.  A maximal tree, whether stored, built or enumerated, is a
 sorted tuple of its (a, b) edge keys.  All values are immutable; every
-operation is a pure function.
+operation is a pure function.  ``WeightedComplex(...)`` refuses what no
+complex can be (no vertex, a repeated label, a simplex out of range or out
+of order, a repeated edge, a tree pair that is no edge) with ``ValueError``,
+and a non-integer with ``TypeError``; ``validate`` reports what a complex
+can still get wrong: an unclosed face, a disconnected 1-skeleton, a stored
+tree that is not a maximal tree.
 """
 
 from __future__ import annotations
@@ -70,21 +75,40 @@ class WeightedComplex:
 
     def __post_init__(self):
         # operator.index, not int: a weight of 2.5 or "7" is a TypeError.
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(sorted({(index(a), index(b), index(w)) for a, b, w in self.edges})),
-        )
-        object.__setattr__(
-            self,
-            "triangles",
-            tuple(sorted({(index(a), index(v), index(b)) for a, v, b in self.triangles})),
-        )
+        # complex_from_json passes these messages on; simplices are numbered
+        # by their position in the input.
+        vertices = tuple(self.vertices)
+        n = len(vertices)
+        if not n:
+            raise ValueError('"vertices" must contain at least one vertex')
+        if len(set(vertices)) != n:
+            raise ValueError("vertex labels must be distinct")
+        weights: dict[EdgeKey, int] = {}
+        for k, (a, b, w) in enumerate(self.edges):
+            a, b = index(a), index(b)
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge #{k}: endpoints ({a},{b}) out of range")
+            if a >= b:
+                raise ValueError(f"edge #{k}: endpoints ({a},{b}) must satisfy a < b")
+            if (a, b) in weights:
+                raise ValueError(f"duplicate edge ({a},{b})")
+            weights[a, b] = index(w)
+        triangles = [(index(a), index(v), index(b)) for a, v, b in self.triangles]
+        for k, (a, v, b) in enumerate(triangles):
+            if not (0 <= a < n and 0 <= v < n and 0 <= b < n):
+                raise ValueError(f"triangle #{k}: corners ({a},{v},{b}) out of range")
+            if not a < v < b:
+                raise ValueError(
+                    f"triangle #{k}: corners ({a},{v},{b}) must satisfy a < v < b")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", tuple(sorted(k + (w,) for k, w in weights.items())))
+        object.__setattr__(self, "triangles", tuple(sorted(set(triangles))))
         if self.tree is not None:
-            object.__setattr__(
-                self, "tree", tuple(sorted({(index(a), index(b)) for a, b in self.tree}))
-            )
+            tree = [(index(a), index(b)) for a, b in self.tree]
+            for k, (a, b) in enumerate(tree):
+                if (a, b) not in weights:
+                    raise ValueError(f"tree edge #{k}: ({a},{b}) is not an edge")
+            object.__setattr__(self, "tree", tuple(sorted(set(tree))))
 
     @cached_property
     def edge_keys(self) -> tuple[EdgeKey, ...]:
@@ -92,19 +116,15 @@ class WeightedComplex:
 
     @cached_property
     def weight_of(self) -> dict[EdgeKey, int]:
-        out = {}
-        for a, b, w in self.edges:
-            out.setdefault((a, b), w)
-        return out
+        return {(a, b): w for a, b, w in self.edges}
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, list[int]] = {i: [] for i in range(len(self.vertices))}
         for a, b in self.edge_keys:
-            if 0 <= a < len(self.vertices) and 0 <= b < len(self.vertices):
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-        return {v: tuple(sorted(set(ns))) for v, ns in nbrs.items()}
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
     def with_tree(self, tree_edges: Iterable[EdgeKey]) -> "WeightedComplex":
         return replace(self, tree=tree_edges)
@@ -129,9 +149,8 @@ def _tree_violations(n: int, known_edges: set[EdgeKey], tree) -> list[tuple[str,
     uf = UnionFind(n)
     if not uf.union_all(known):
         v.append(("tree-cycle", "tree edges contain a cycle"))
-    # A cycle is reported above, and an acyclic tree joining all n vertices
-    # has n - 1 edges.  The empty complex (0 components) has no tree.
-    if uf.components != 1:
+    # A cycle is reported above; this rule asks only whether all n vertices meet.
+    if uf.components > 1:
         v.append(("tree-not-spanning", "tree does not span every vertex"))
     return v
 
@@ -143,48 +162,24 @@ def is_spanning_tree(complex: WeightedComplex, edges: Iterable[EdgeKey]) -> bool
 
 
 def validate(complex: WeightedComplex) -> ValidationReport:
-    """Check every structural invariant; failures are reported, not thrown."""
+    """Check what a well-formed complex can still get wrong: a triangle
+    face that is not an edge, a disconnected 1-skeleton, and a stored tree
+    that is not a maximal tree.  Failures are reported, not thrown."""
     v: list[tuple[str, str]] = []
     n = len(complex.vertices)
-    if n == 0:
-        v.append(("nonempty", "complex has no vertices"))
-    if len(set(complex.vertices)) != n:
-        v.append(("vertex-duplicate", "vertex labels are not distinct"))
-
-    good_edges = set()
-    seen_weight: dict[EdgeKey, int] = {}
-    for a, b, w in complex.edges:
-        if not (0 <= a < n and 0 <= b < n):
-            v.append(("edge-index", f"edge ({a},{b}) references a missing vertex"))
-            continue
-        if a >= b:
-            v.append(("edge-order", f"edge ({a},{b}) must satisfy a < b"))
-            continue
-        if (a, b) in seen_weight and seen_weight[(a, b)] != w:
-            v.append(("edge-duplicate", f"edge ({a},{b}) appears with conflicting weights"))
-        seen_weight.setdefault((a, b), w)
-        good_edges.add((a, b))
-
+    edges = set(complex.edge_keys)
     for a, u, b in complex.triangles:
-        if not (0 <= a < n and 0 <= u < n and 0 <= b < n):
-            v.append(("triangle-index", f"triangle ({a},{u},{b}) references a missing vertex"))
-            continue
-        if not a < u < b:
-            v.append(("triangle-order", f"triangle ({a},{u},{b}) must satisfy a < v < b"))
-            continue
         for e in ((a, u), (u, b), (a, b)):
-            if e not in good_edges:
-                v.append(
-                    ("face-closure", f"triangle ({a},{u},{b}) is missing face edge {e}")
-                )
+            if e not in edges:
+                v.append(("face-closure", f"triangle ({a},{u},{b}) is missing face edge {e}"))
 
     skeleton = UnionFind(n)
-    skeleton.union_all(good_edges)
+    skeleton.union_all(complex.edge_keys)
     if skeleton.components > 1:
         v.append(("connected", "the 1-skeleton is not path-connected"))
 
     if complex.tree is not None:
-        v.extend(_tree_violations(n, good_edges, complex.tree))
+        v.extend(_tree_violations(n, edges, complex.tree))
 
     return ValidationReport(not v, tuple(v))
 
@@ -199,8 +194,6 @@ def compute_maximal_tree(complex: WeightedComplex, strategy: str = "bfs") -> Tre
     if strategy not in TREE_STRATEGIES:
         raise ValueError(f"unknown tree strategy {strategy!r}")
     n = len(complex.vertices)
-    if n == 0:  # no component at all, so no tree, as in _tree_violations
-        raise NotConnected("the complex has no vertices")
     if strategy == "bfs":
         seen = [False] * n
         seen[0] = True
@@ -295,7 +288,8 @@ def is_weighted_subcomplex(
 
 
 def complex_from_json(doc) -> WeightedComplex:
-    """Parse the documented JSON schema with field-precise error messages."""
+    """Parse the documented JSON schema with field-precise error messages:
+    the shape and types are checked here, the structure by the constructor."""
     if not isinstance(doc, dict):
         raise SchemaError("complex document must be a JSON object")
     if "vertices" not in doc:
@@ -305,17 +299,10 @@ def complex_from_json(doc) -> WeightedComplex:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(s, str) for s in vertices):
         raise SchemaError('"vertices" must be a list of strings')
-    if not vertices:
-        raise SchemaError('"vertices" must contain at least one vertex')
-    if len(set(vertices)) != len(vertices):
-        raise SchemaError("vertex labels must be distinct")
-    n = len(vertices)
 
-    edges = []
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise SchemaError('"edges" must be a list')
-    seen = set()
     for k, e in enumerate(raw_edges):
         if not isinstance(e, dict):
             raise SchemaError(f'edge #{k} must be an object with keys "a", "b", "w"')
@@ -324,24 +311,13 @@ def complex_from_json(doc) -> WeightedComplex:
                 raise SchemaError(f'edge #{k}: missing key "{field}"')
             if not isinstance(e[field], int) or isinstance(e[field], bool):
                 raise SchemaError(f'edge #{k}: "{field}" must be an integer')
-        a, b, w = e["a"], e["b"], e["w"]
-        if not (0 <= a < n and 0 <= b < n):
-            raise SchemaError(f"edge #{k}: endpoints ({a},{b}) out of range")
-        if a >= b:
-            raise SchemaError(f"edge #{k}: endpoints ({a},{b}) must satisfy a < b")
-        if (a, b) in seen:
-            raise SchemaError(f"duplicate edge ({a},{b})")
-        seen.add((a, b))
-        edges.append((a, b, w))
 
-    triangles = []
     raw_triangles = doc.get("triangles", [])
     if not isinstance(raw_triangles, list):
         raise SchemaError('"triangles" must be a list')
     for k, t in enumerate(raw_triangles):
-        if not isinstance(t, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in t
-        ):
+        if not (isinstance(t, list)
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in t)):
             raise SchemaError(f"triangle #{k} must be a list of integers")
         if len(t) > 3:
             raise SchemaError(
@@ -350,32 +326,21 @@ def complex_from_json(doc) -> WeightedComplex:
             )
         if len(t) != 3:
             raise SchemaError(f"triangle #{k} must have exactly 3 vertices")
-        a, u, b = t
-        if not (0 <= a < n and 0 <= u < n and 0 <= b < n):
-            raise SchemaError(f"triangle #{k}: corners ({a},{u},{b}) out of range")
-        if not a < u < b:
-            raise SchemaError(f"triangle #{k}: corners ({a},{u},{b}) must satisfy a < v < b")
-        triangles.append((a, u, b))
 
-    tree = None
-    if doc.get("tree") is not None:
-        raw_tree = doc["tree"]
-        if not isinstance(raw_tree, list):
+    tree = doc.get("tree")
+    if tree is not None:
+        if not isinstance(tree, list):
             raise SchemaError('"tree" must be a list of [a, b] pairs')
-        tree = []
-        for k, e in enumerate(raw_tree):
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-            ):
+        for k, e in enumerate(tree):
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
                 raise SchemaError(f"tree edge #{k} must be a pair of integers")
-            if (e[0], e[1]) not in seen:
-                raise SchemaError(f"tree edge #{k}: ({e[0]},{e[1]}) is not an edge")
-            tree.append((e[0], e[1]))
 
-    return WeightedComplex(tuple(vertices), tuple(edges), tuple(triangles),
-                           tuple(tree) if tree is not None else None)
+    edges = [(e["a"], e["b"], e["w"]) for e in raw_edges]
+    try:
+        return WeightedComplex(vertices, edges, raw_triangles, tree)
+    except ValueError as err:
+        raise SchemaError(str(err)) from err
 
 
 def complex_to_json(complex: WeightedComplex) -> dict:

@@ -163,7 +163,9 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        # operator.index, not int: a rank of 1.5 or a factor of 2.9 is a TypeError.
+        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
+        object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in self.torsion:
@@ -182,7 +184,7 @@ class AbelianGroup:
         gcd(d, carry), until the carry is 1; a carry left over becomes the
         new smallest factor.  For each prime this is an insertion sort of
         the exponents, so the chain is the unique invariant-factor form."""
-        orders = [abs(int(m)) for m in orders]
+        orders = [abs(operator.index(m)) for m in orders]
         chain: list[int] = []  # largest factor first
         for carry in orders:
             if carry == 0:

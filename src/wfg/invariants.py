@@ -10,6 +10,7 @@ which the generating-function formula reduces to Witt's necklace count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .complexes import WeightedComplex
@@ -34,10 +35,9 @@ class CyclicFactorization:
 
     def __post_init__(self):
         raw = tuple(self.orders)
-        # Only the finite orders go through int(): a path tree of K9 has
-        # 28 zeros beside its 8 finite orders.
-        finite = sorted(map(int, filter(None, raw)))
-        object.__setattr__(self, "orders", (0,) * raw.count(0) + tuple(finite))
+        # operator.index, not int: an order of 2.7 or "3" is a TypeError.
+        finite = sorted(filter(None, map(index, raw)))
+        object.__setattr__(self, "orders", (0,) * (len(raw) - len(finite)) + tuple(finite))
         # Sorted, so a negative order comes first.
         if (finite and finite[0] < 0) or 1 in finite:
             m = finite[0] if finite[0] < 0 else 1
@@ -60,7 +60,7 @@ class CyclicFactorization:
 def normalize_factorization(raw: Iterable[int]) -> CyclicFactorization:
     """Take absolute values (Z/w and Z/-w coincide), drop order-1 factors,
     sort ascending with the infinite factors first."""
-    return CyclicFactorization(tuple(abs(int(m)) for m in raw if abs(int(m)) != 1))
+    return CyclicFactorization(tuple(m for m in (abs(index(m)) for m in raw) if m != 1))
 
 
 def satisfies_exactly_two(complex: WeightedComplex) -> bool:
@@ -107,15 +107,12 @@ def _tree_classifier(complex: WeightedComplex):
     factors are filled in by count."""
     faces = triangle_faces(complex)
     face_orders = []
-    # |w| of each non-face edge, as a list: before validation a key may
-    # carry two weights, and classify counts both.
-    others: dict[tuple[int, int], list[int]] = {}
+    others: dict[tuple[int, int], int] = {}  # |w| of each non-face edge
     for a, b, w in complex.edges:
         if (a, b) not in faces:
-            others.setdefault((a, b), []).append(abs(w))
+            others[a, b] = abs(w)
         elif abs(w) != 1:
             face_orders.append(abs(w))
-    n_others = sum(map(len, others.values()))
 
     def factors(tree) -> CyclicFactorization:
         if complex.triangles:
@@ -126,9 +123,9 @@ def _tree_classifier(complex: WeightedComplex):
                     f"exactly-two condition fails at triangle ({la},{lv},{lb})",
                     triangle=bad,
                 )
-        in_tree = [m for e in tree for m in others.get(e, ())]
+        in_tree = [others[e] for e in tree if e in others]
         orders = face_orders + [m for m in in_tree if m != 1]
-        return CyclicFactorization(tuple(orders) + (0,) * (n_others - len(in_tree)))
+        return CyclicFactorization(tuple(orders) + (0,) * (len(others) - len(in_tree)))
 
     return factors
 

@@ -109,8 +109,8 @@ def _hypotheses(spec: CoverSpec) -> tuple[ValidationReport, bool, bool]:
         if K.tree is None:
             v.append((f"{name}-missing-tree", f"{name} has no maximal tree"))
     if not members_ok:
-        # Relational checks would be meaningless (and index maps unsafe)
-        # on structurally invalid members.
+        # Every member is well formed by construction, but relational
+        # checks would be meaningless on one that fails validation.
         return ValidationReport(False, tuple(v)), False, False
     trees_ok = not v  # the only violations so far are missing trees
 

@@ -489,6 +489,40 @@ def complexes_with_trees(draw, max_vertices=6):
     return K, trees
 
 
+def raw_document(vertices, edges, triangles=(), tree=None) -> dict:
+    """A complex document written from raw values, as the constructor takes
+    them, whether or not they make a complex."""
+    doc = {"vertices": list(vertices),
+           "edges": [{"a": a, "b": b, "w": w} for a, b, w in edges],
+           "triangles": [list(t) for t in triangles]}
+    if tree is not None:
+        doc["tree"] = [list(e) for e in tree]
+    return doc
+
+
+@st.composite
+def raw_complexes(draw, max_vertices=4):
+    """(vertices, edges, triangles, tree) drawn without the structural
+    rules: indices in [-1, n] in either order, repeated edge keys, random
+    triangle corners and tree pairs, and now and then no vertex or a
+    repeated label.  Most draws are no complex; some are one."""
+    rare = draw(st.integers(0, 19))
+    n = 0 if rare == 0 else draw(st.integers(1, max_vertices))
+    labels = [f"v{i}" for i in range(n)]
+    if n >= 2 and rare == 1:
+        labels[-1] = labels[0]
+    at = st.integers(-1, n)
+    pair = st.tuples(at, at)
+    # Edges share a few keys, half of them put in order, so that keys
+    # repeat and some edges are good.
+    keys = draw(st.lists(pair | pair.map(sorted).map(tuple), min_size=1, max_size=4))
+    edges = draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(-3, 3)), max_size=6))
+    triangles = draw(st.lists(st.tuples(at, at, at).map(sorted) | st.tuples(at, at, at),
+                              max_size=2))
+    tree = draw(st.none() | st.lists(st.sampled_from(keys) | pair, max_size=4))
+    return labels, [(a, b, w) for (a, b), w in edges], triangles, tree
+
+
 def documents(max_vertices=6):
     """Complex, cover and filtration documents built from ``complexes``."""
     one = complexes(max_vertices).map(complex_to_json)

@@ -21,7 +21,8 @@ from wfg.invariants import witt_rank
 from wfg.vankampen import CoverSpec
 from wfg.analysis import Filtration, discriminate_trees, enumerate_hamiltonian_trees
 
-from helpers import FIGURES, VERBS, documents, load_figure, random_connected_graph
+from helpers import (FIGURES, VERBS, documents, load_figure, random_connected_graph,
+                     raw_complexes, raw_document)
 
 
 def fig(name):
@@ -478,6 +479,33 @@ def test_any_small_document_exits_cleanly(verb, doc, tree, tmp_path_factory):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@settings(max_examples=60)
+@given(values=raw_complexes())
+def test_malformed_document_exits_cleanly(verb, values, tmp_path_factory):
+    """A document the constructor refuses exits 1 with one error line and
+    no output, whatever the verb; as a cover member or a filtration stage
+    it carries the member's or the stage's prefix."""
+    doc = raw_document(*values)
+    prefix = {"vankampen": "L: ", "filtration": "stage 0: "}.get(verb, "")
+    if verb == "vankampen":
+        doc = {key: doc for key in ("L", "K1", "K2", "K0")}
+    elif verb == "filtration":
+        doc = {"stages": [doc]}
+    path = tmp_path_factory.getbasetemp() / f"malformed-{verb}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([verb, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    try:
+        WeightedComplex(*values)
+    except ValueError as refusal:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == f"error: {prefix}{refusal}\n"
 
 
 class TestJsonOutput:

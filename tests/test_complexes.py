@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -10,17 +11,19 @@ from wfg.complexes import (
     complex_from_json,
     complex_to_json,
     compute_maximal_tree,
-    ensure_tree,
     is_spanning_tree,
     is_weighted_subcomplex,
     relabel,
     validate,
 )
+from wfg.analysis import filtration_from_json
 from wfg.errors import BadPermutation, MissingTree, NotConnected, SchemaError
+from wfg.vankampen import cover_from_json
 
 from helpers import (
     complexes,
     load_figure,
+    raw_document,
     random_connected_graph,
     random_spanning_tree,
 )
@@ -73,14 +76,17 @@ class TestValidate:
         assert "connected" in rules_of(validate(K))
 
     def test_bad_edge_order_and_index(self):
-        K = WeightedComplex(("v0", "v1"), ((1, 0, 1), (0, 5, 2)))
-        rules = rules_of(validate(K))
-        assert "edge-order" in rules
-        assert "edge-index" in rules
+        # The constructor refuses the first bad edge, numbered by position.
+        with pytest.raises(ValueError, match=r"^edge #0: endpoints \(1,0\) must satisfy a < b$"):
+            WeightedComplex(("v0", "v1"), ((1, 0, 1), (0, 5, 2)))
+        with pytest.raises(ValueError, match=r"^edge #1: endpoints \(0,5\) out of range$"):
+            WeightedComplex(("v0", "v1"), ((0, 1, 1), (0, 5, 2)))
 
     def test_conflicting_duplicate_edges(self):
-        K = WeightedComplex(("v0", "v1"), ((0, 1, 1), (0, 1, 2)))
-        assert "edge-duplicate" in rules_of(validate(K))
+        # A repeated key is refused whatever the two weights.
+        for weights in ((1, 2), (1, 1)):
+            with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
+                WeightedComplex(("v0", "v1"), tuple((0, 1, w) for w in weights))
 
     def test_tree_rules(self):
         base = (("v0", "v1", "v2"), ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
@@ -88,8 +94,12 @@ class TestValidate:
         assert "tree-not-spanning" in rules_of(validate(not_spanning))
         cyclic = WeightedComplex(*base, tree=((0, 1), (0, 2), (1, 2)))
         assert "tree-cycle" in rules_of(validate(cyclic))
-        foreign = WeightedComplex(("v0", "v1"), ((0, 1, 1),), tree=((0, 2),))
-        assert "tree-unknown-edge" in rules_of(validate(foreign))
+        with pytest.raises(ValueError, match=r"^tree edge #0: \(0,2\) is not an edge$"):
+            WeightedComplex(("v0", "v1"), ((0, 1, 1),), tree=((0, 2),))
+        # An edge set handed to is_spanning_tree may still name a non-edge;
+        # (0, 1) alone spans, so the unknown edge is the only violation.
+        assert not is_spanning_tree(WeightedComplex(("v0", "v1"), ((0, 1, 1),)),
+                                    ((0, 1), (0, 2)))
 
     def test_cyclic_tree_reaching_every_vertex_is_only_a_cycle(self):
         # All three edges of a triangle reach every vertex: one violation.
@@ -99,9 +109,13 @@ class TestValidate:
         assert not is_spanning_tree(K, K.tree)
 
     def test_every_violation_reported_at_once(self):
-        K = WeightedComplex(("v0", "v0"), ((1, 0, 1),))
-        rules = rules_of(validate(K))
-        assert {"vertex-duplicate", "edge-order"} <= rules
+        with pytest.raises(ValueError, match="^vertex labels must be distinct$"):
+            WeightedComplex(("v0", "v0"), ((1, 0, 1),))
+        # A well-formed complex breaking all four rules validate still checks.
+        K = WeightedComplex(("v0", "v1", "v2", "v3"), ((0, 1, 1), (0, 2, 1), (1, 2, 1)),
+                            ((0, 1, 3),), tree=((0, 1), (0, 2), (1, 2)))
+        assert rules_of(validate(K)) == {
+            "face-closure", "connected", "tree-cycle", "tree-not-spanning"}
 
 
 class TestComputeMaximalTree:
@@ -145,14 +159,10 @@ class TestComputeMaximalTree:
         with pytest.raises(NotConnected):
             compute_maximal_tree(K, "kruskal-min")
 
-    @pytest.mark.parametrize("strategy", TREE_STRATEGIES)
-    def test_no_vertices_raises(self, strategy):
-        # No vertex, no component: every strategy refuses before building.
-        K = WeightedComplex((), ())
-        with pytest.raises(NotConnected):
-            compute_maximal_tree(K, strategy)
-        with pytest.raises(NotConnected):
-            ensure_tree(K, strategy)
+    def test_no_vertices_raises(self):
+        # No vertex, no complex, so no strategy ever sees one.
+        with pytest.raises(ValueError, match='^"vertices" must contain at least one vertex$'):
+            WeightedComplex((), ())
 
     def test_all_strategies_give_spanning_trees(self):
         rng = random.Random(31)
@@ -282,6 +292,57 @@ class TestJson:
             "tree": [[0, 2]],
         }
         with pytest.raises(SchemaError, match="is not an edge"):
+            complex_from_json(doc)
+
+
+class TestRefusals:
+    """The constructor and the parser refuse a malformed complex with one
+    message: the parser checks types and shapes, then builds the complex."""
+
+    TRIANGLE = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+    # (vertices, edges, triangles, tree) per refusal, and the message.
+    CASES = {
+        "no-vertices": (([], [], [], None),
+                        '"vertices" must contain at least one vertex'),
+        "vertex-duplicate": ((["a", "b", "a"], [], [], None),
+                             "vertex labels must be distinct"),
+        "edge-range": ((["a", "b"], [(0, 1, 1), (-1, 1, 2)], [], None),
+                       "edge #1: endpoints (-1,1) out of range"),
+        "edge-order": ((["a", "b"], [(1, 0, 1)], [], None),
+                       "edge #0: endpoints (1,0) must satisfy a < b"),
+        "edge-duplicate": ((["a", "b", "c"], TRIANGLE + [(0, 2, 1)], [], None),
+                           "duplicate edge (0,2)"),
+        "triangle-range": ((["a", "b", "c"], TRIANGLE, [(0, 1, 2), (0, 1, 3)], None),
+                           "triangle #1: corners (0,1,3) out of range"),
+        "triangle-order": ((["a", "b", "c"], TRIANGLE, [(0, 2, 1)], None),
+                           "triangle #0: corners (0,2,1) must satisfy a < v < b"),
+        "tree-not-an-edge": ((["a", "b", "c"], TRIANGLE[:2], [], [(0, 1), (1, 2)]),
+                             "tree edge #1: (1,2) is not an edge"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parser_and_constructor_agree(self, case):
+        values, message = self.CASES[case]
+        with pytest.raises(ValueError) as built:
+            WeightedComplex(*values)
+        with pytest.raises(SchemaError) as parsed:
+            complex_from_json(raw_document(*values))
+        assert str(parsed.value) == str(built.value) == message
+
+    def test_stage_and_member_prefixes(self):
+        values, message = self.CASES["edge-duplicate"]
+        good, bad = complex_to_json(FIGURE1), raw_document(*values)
+        with pytest.raises(SchemaError, match=f"^stage 1: {re.escape(message)}$"):
+            filtration_from_json({"stages": [good, bad]})
+        with pytest.raises(SchemaError, match=f"^K1: {re.escape(message)}$"):
+            cover_from_json({"L": good, "K1": bad, "K2": good, "K0": good})
+
+    def test_type_faults_come_before_structure(self):
+        # Edge #0 is out of range, but edge #1's missing weight is named:
+        # every type check runs before the constructor's checks.
+        doc = {"vertices": ["a", "b"],
+               "edges": [{"a": 0, "b": 5, "w": 1}, {"a": 0, "b": 1}]}
+        with pytest.raises(SchemaError, match='^edge #1: missing key "w"$'):
             complex_from_json(doc)
 
 

@@ -81,8 +81,24 @@ class TestNormalizeFactorization:
             CyclicFactorization(orders)
 
     def test_orders_become_sorted_ints(self):
-        assert CyclicFactorization((3.0, False, 2)).orders == (0, 2, 3)
-        assert type(CyclicFactorization((3.0,)).orders[0]) is int
+        assert CyclicFactorization((3, False, 2)).orders == (0, 2, 3)
+        assert all(type(m) is int for m in CyclicFactorization((False, True + 2)).orders)
+        # operator.index, not int: 3.0 is no order.
+        with pytest.raises(TypeError):
+            CyclicFactorization((3.0,))
+
+    @pytest.mark.parametrize("build, args", [
+        (AbelianGroup, (1.5,)),
+        (AbelianGroup, (1, (2.9,))),
+        (AbelianGroup.from_cyclic_orders, ([2.9, "3"],)),
+        (normalize_factorization, ([2.5],)),
+        (CyclicFactorization, ((3.0, 2.7),)),
+    ], ids=["free-rank", "torsion", "cyclic-orders", "normalize", "factorization"])
+    def test_non_integers_rejected(self, build, args):
+        # int() would truncate: Z^1.5, Z ⊕ Z/2, Z/6, Z/2 and Z/2 * Z/3.
+        with pytest.raises(TypeError):
+            build(*args)
+        assert AbelianGroup(True, (False + 2,)) == AbelianGroup(1, (2,))
 
 
 class TestExactlyTwo:
@@ -216,13 +232,15 @@ class TestWeightedHomology:
         with pytest.raises(HasTriangles):
             weighted_homology_graph(FIGURE2)
 
-    @pytest.mark.parametrize("edges", [((0, 3, 2), (1, 2, 3)), ((0, 1, 2), (1, 3, 3))])
-    def test_edge_to_a_missing_vertex_rejected(self, edges):
-        # An unvalidated edge (a, 3) on three vertices names no generator, so
-        # Presentation's relator check refuses it; a hand-built boundary row
-        # would spill into the next edge's row (H0 = Z + Z/6) or past the end.
-        with pytest.raises(ValueError, match="generator 3 of 3"):
-            weighted_homology_graph(WeightedComplex(("a", "b", "c"), edges))
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 3, 2), (1, 2, 3)), r"^edge #0: endpoints \(0,3\) out of range$"),
+        (((0, 1, 2), (1, 3, 3)), r"^edge #1: endpoints \(1,3\) out of range$"),
+    ])
+    def test_edge_to_a_missing_vertex_rejected(self, edges, message):
+        # An edge (a, 3) on three vertices would name no generator of H0;
+        # the constructor refuses it, so no complex ever carries one.
+        with pytest.raises(ValueError, match=message):
+            WeightedComplex(("a", "b", "c"), edges)
 
     def test_zero_weight_rejected(self):
         K = with_weights(FIGURE1, lambda a, b, w: 0 if (a, b) == (0, 1) else w)
