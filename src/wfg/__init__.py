@@ -18,8 +18,6 @@ from .analysis import (
     discriminate_trees,
     enumerate_hamiltonian_trees,
     filtration_from_json,
-    hexagon_ring,
-    pentagon_ring,
 )
 from .complexes import (
     ValidationReport,
@@ -28,7 +26,6 @@ from .complexes import (
     complex_to_json,
     compute_maximal_tree,
     is_weighted_subcomplex,
-    relabel,
     validate,
 )
 from .exact import (
@@ -46,7 +43,6 @@ from .invariants import (
     classify,
     lcs_free_ranks,
     normalize_factorization,
-    realize,
     satisfies_exactly_two,
     weighted_homology_graph,
     witt_rank,

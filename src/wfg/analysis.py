@@ -5,8 +5,6 @@ as multisets, and label finite births/deaths with a user-supplied
 weight-to-region map.  Hamiltonian paths double as maximal trees (sorted
 tuples of edge keys, like a stored or built tree), so enumerating them and
 classifying the complex against each tree can tell different paths apart.
-The two ring builders reproduce the pentagon and hexagon bond patterns used
-in the fullerene demonstration.
 """
 
 from __future__ import annotations
@@ -198,33 +196,6 @@ def discriminate_trees(
 
     distinguishable = any(inv != invariants[0] for inv in invariants[1:])
     return TreeDiscriminationReport(trees, invariants, distinguishable, used_abelianization)
-
-
-def pentagon_ring() -> WeightedComplex:
-    """Five-cycle with unit weights, tree on the four bold edges."""
-    edges = [(0, 1, 1), (0, 4, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]
-    return WeightedComplex(
-        tuple(f"v{i}" for i in range(5)),
-        tuple(edges),
-        (),
-        ((0, 1), (1, 2), (2, 3), (3, 4)),
-    )
-
-
-def hexagon_ring() -> WeightedComplex:
-    """Six-cycle with weight 2 on the three alternating double-bond edges;
-    all five tree edges form the path around the ring."""
-    vertices = ("v5", "v6", "v7", "v8", "v9", "v10")
-    edges = (
-        (0, 1, 2),  # v5-v6 double bond
-        (0, 5, 1),  # v5-v10
-        (1, 2, 1),  # v6-v7
-        (2, 3, 2),  # v7-v8 double bond
-        (3, 4, 1),  # v8-v9
-        (4, 5, 2),  # v9-v10 double bond
-    )
-    tree = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
-    return WeightedComplex(vertices, edges, (), tree)
 
 
 def filtration_from_json(doc) -> Filtration:

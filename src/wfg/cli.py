@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=_TREE_HELP[tree])
         return p
 
-    add("validate", "check the structural invariants of a complex", _validate_report)
+    add("validate", "check face closure, connectivity and the stored tree of a complex",
+        _validate_report)
     add("tree", "compute a maximal tree", _tree_report, tree="build")
     add("present", "print the presentation of the weighted fundamental group",
         _present_report, tree="use")

@@ -19,14 +19,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import index
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import (
-    BadPermutation,
-    MissingTree,
-    NotConnected,
-    SchemaError,
-)
+from .errors import MissingTree, NotConnected, SchemaError
 
 EdgeKey = tuple[int, int]
 Tree = tuple[EdgeKey, ...]
@@ -155,12 +150,6 @@ def _tree_violations(n: int, known_edges: set[EdgeKey], tree) -> list[tuple[str,
     return v
 
 
-def is_spanning_tree(complex: WeightedComplex, edges: Iterable[EdgeKey]) -> bool:
-    """True iff the edge set is an acyclic connected subgraph covering
-    every vertex of the complex."""
-    return not _tree_violations(len(complex.vertices), set(complex.edge_keys), list(edges))
-
-
 def validate(complex: WeightedComplex) -> ValidationReport:
     """Check what a well-formed complex can still get wrong: a triangle
     face that is not an edge, a disconnected 1-skeleton, and a stored tree
@@ -223,26 +212,6 @@ def ensure_tree(complex: WeightedComplex, strategy: str = "bfs") -> WeightedComp
     if complex.tree is not None:
         return complex
     return complex.with_tree(compute_maximal_tree(complex, strategy))
-
-
-def relabel(complex: WeightedComplex, permutation: Sequence[int]) -> WeightedComplex:
-    """Reorder vertices: the vertex at position i moves to position
-    permutation[i].  Simplices are re-sorted so a < b and a < v < b hold."""
-    n = len(complex.vertices)
-    p = list(permutation)
-    if sorted(p) != list(range(n)):
-        raise BadPermutation(f"not a bijection on 0..{n - 1}: {p}")
-    new_vertices = [""] * n
-    for i, label in enumerate(complex.vertices):
-        new_vertices[p[i]] = label
-    edges = tuple(
-        (min(p[a], p[b]), max(p[a], p[b]), w) for a, b, w in complex.edges
-    )
-    triangles = tuple(tuple(sorted((p[a], p[u], p[b]))) for a, u, b in complex.triangles)
-    tree = None
-    if complex.tree is not None:
-        tree = tuple((min(p[a], p[b]), max(p[a], p[b])) for a, b in complex.tree)
-    return WeightedComplex(tuple(new_vertices), edges, triangles, tree)
 
 
 def _embedding(inner: WeightedComplex, outer: WeightedComplex) -> Optional[list[int]]:

@@ -34,10 +34,6 @@ class MissingTree(PreconditionError):
     """An operation that needs a maximal tree got a complex without one."""
 
 
-class BadPermutation(PreconditionError):
-    """Relabeling permutation is not a bijection on vertex positions."""
-
-
 class ShapeMismatch(PreconditionError):
     """Matrix dimensions are inconsistent with the operation."""
 

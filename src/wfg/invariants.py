@@ -1,10 +1,10 @@
 """Computable group invariants of weighted complexes.
 
 Covers the exactly-two classification into a free product of cyclic
-groups, realization of any such product by a weighted wedge of edges,
-abelianization, weighted graph homology (kernel/cokernel of the weighted
-boundary map), and the free ranks of the lower central series quotients,
-which the generating-function formula reduces to Witt's necklace count.
+groups, abelianization, weighted graph homology (kernel/cokernel of the
+weighted boundary map), and the free ranks of the lower central series
+quotients, which the generating-function formula reduces to Witt's
+necklace count.
 """
 
 from __future__ import annotations
@@ -128,16 +128,6 @@ def _tree_classifier(complex: WeightedComplex):
         return CyclicFactorization(tuple(orders) + (0,) * (len(others) - len(in_tree)))
 
     return factors
-
-
-def realize(target: CyclicFactorization) -> WeightedComplex:
-    """A weighted wedge of edges whose classification is the target: one
-    edge of weight m per factor, all edges in the tree."""
-    k = len(target.orders)
-    vertices = tuple(f"v{i}" for i in range(k + 1))
-    edges = tuple((0, i + 1, m) for i, m in enumerate(target.orders))
-    tree = tuple((0, i + 1) for i in range(k))
-    return WeightedComplex(vertices, edges, (), tree)
 
 
 def abelianization(complex: WeightedComplex) -> AbelianGroup:

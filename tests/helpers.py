@@ -28,8 +28,6 @@ from wfg import (
     compute_maximal_tree,
     free_reduce,
     normalize_factorization,
-    realize,
-    relabel,
     smith_normal_form,
     validate,
 )
@@ -541,6 +539,33 @@ def with_weights(K: WeightedComplex, mapper) -> WeightedComplex:
         K.triangles,
         K.tree,
     )
+
+
+def relabel(K: WeightedComplex, permutation) -> WeightedComplex:
+    """Reorder vertices: the vertex at position i moves to position
+    permutation[i].  Simplices are re-sorted so a < b and a < v < b hold."""
+    n = len(K.vertices)
+    p = list(permutation)
+    assert sorted(p) == list(range(n)), f"not a bijection on 0..{n - 1}: {p}"
+    new_vertices = [""] * n
+    for i, label in enumerate(K.vertices):
+        new_vertices[p[i]] = label
+    edges = tuple((min(p[a], p[b]), max(p[a], p[b]), w) for a, b, w in K.edges)
+    triangles = tuple(tuple(sorted((p[a], p[u], p[b]))) for a, u, b in K.triangles)
+    tree = None
+    if K.tree is not None:
+        tree = tuple((min(p[a], p[b]), max(p[a], p[b])) for a, b in K.tree)
+    return WeightedComplex(tuple(new_vertices), edges, triangles, tree)
+
+
+def realize(target: CyclicFactorization) -> WeightedComplex:
+    """A weighted wedge of edges whose classification is the target: one
+    edge of weight m per factor, all edges in the tree."""
+    k = len(target.orders)
+    vertices = tuple(f"v{i}" for i in range(k + 1))
+    edges = tuple((0, i + 1, m) for i, m in enumerate(target.orders))
+    tree = tuple((0, i + 1) for i in range(k))
+    return WeightedComplex(vertices, edges, (), tree)
 
 
 def random_connected_graph(rng, min_v=2, max_v=10, weight_range=(-5, 5)) -> WeightedComplex:

@@ -6,8 +6,7 @@ success).  Property criteria run at 200+ randomized cases with fixed seeds.
 
 import random
 
-from wfg.analysis import BirthDeathEvent, analyze_filtration, filtration_from_json, \
-    hexagon_ring, pentagon_ring
+from wfg.analysis import BirthDeathEvent, analyze_filtration, filtration_from_json
 from wfg.complexes import complex_from_json
 from wfg.exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix
 from wfg.invariants import (
@@ -141,8 +140,8 @@ def test_criterion_8_figure5_filtration_events():
 
 
 def test_criterion_9_fullerene_rings():
-    pentagon = classify(pentagon_ring())
-    hexagon = classify(hexagon_ring())
+    pentagon = classify(complex_from_json(load_figure("figure6-pentagon.json")))
+    hexagon = classify(complex_from_json(load_figure("figure6-hexagon.json")))
     ok = (
         pentagon.orders == (0,)
         and hexagon.orders == (0, 2, 2, 2)

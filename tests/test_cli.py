@@ -325,6 +325,13 @@ class TestHelp:
         assert all(verb in text for verb in VERBS)
         assert sorted(self.OPTIONS) == sorted(VERBS)
 
+    def test_validate_line_names_its_checks(self, capsys):
+        # argparse wraps help lines to the terminal width, so compare words.
+        words = " ".join(self.help_text(capsys).split())
+        assert ("validate check face closure, connectivity and the stored tree "
+                "of a complex tree compute a maximal tree") in words
+        assert "structural" not in words
+
     @pytest.mark.parametrize("verb", VERBS)
     def test_verb(self, capsys, verb):
         assert self.option_strings(self.help_text(capsys, verb)) == self.OPTIONS[verb]

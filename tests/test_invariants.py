@@ -23,7 +23,6 @@ from wfg.invariants import (
     classify,
     lcs_free_ranks,
     normalize_factorization,
-    realize,
     satisfies_exactly_two,
     weighted_homology_graph,
     witt_rank,
@@ -47,6 +46,7 @@ from helpers import (
     random_connected_graph,
     random_mixed_factorization,
     random_spanning_tree,
+    realize,
     split_grid_cover,
     triangulated_grid,
     with_weights,
