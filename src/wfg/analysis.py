@@ -31,7 +31,7 @@ from .errors import (
 )
 from .invariants import (
     CyclicFactorization,
-    _tree_classifier,
+    _tree_factors,
     abelianization,
     classify,
     normalize_factorization,
@@ -127,8 +127,12 @@ def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[Tree]:
 
     A path and its reverse give the same tree; only the direction with
     path[0] <= path[-1] is reported.  Output is sorted lexicographically by
-    edge list.  The backtracking raises TooLarge once it has visited more
-    than HAMILTONIAN_PATH_BUDGET partial paths.
+    edge list.  The budget counts the partial paths a backtracking search
+    from every start would visit; a first pass over the states (visited
+    set, end vertex) sums them and raises TooLarge past
+    HAMILTONIAN_PATH_BUDGET before any tree is listed.  The second pass
+    walks only into states with a Hamiltonian completion that ends at a
+    vertex >= the start, so it meets no dead end and no reversed path.
     """
     if complex.triangles:
         raise NotAGraph("Hamiltonian enumeration expects a graph")
@@ -139,29 +143,50 @@ def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[Tree]:
     # (neighbour, its bit, the edge key to it) for each vertex.
     steps = [tuple((u, 1 << u, (min(u, v), max(u, v))) for u in complex.adjacency[v])
              for v in range(n)]
+    memo: dict[int, tuple[int, int]] = {}
+    if sum(_scan(v, 1 << v, steps, full, memo)[0] for v in range(n)) > HAMILTONIAN_PATH_BUDGET:
+        raise TooLarge(f"Hamiltonian enumeration stopped at {HAMILTONIAN_PATH_BUDGET + 1} "
+                       f"partial paths, past the budget of {HAMILTONIAN_PATH_BUDGET}")
     found: list[Tree] = []
-    path: list[tuple[int, int]] = []  # edge keys of the current path
-    count = 0
-
-    def extend(v: int, visited: int):
-        nonlocal count
-        count += 1
-        if count > HAMILTONIAN_PATH_BUDGET:
-            raise TooLarge(f"Hamiltonian enumeration stopped at {count} partial "
-                           f"paths, past the budget of {HAMILTONIAN_PATH_BUDGET}")
-        if visited == full:
-            if start <= v:  # equal only for the one-vertex path
-                found.append(tuple(sorted(path)))
-            return
-        for u, bit, key in steps[v]:
-            if not visited & bit:
-                path.append(key)
-                extend(u, visited | bit)
-                path.pop()
-
     for start in range(n):
-        extend(start, 1 << start)
+        if memo[1 << start << 4 | start][1] >= start:
+            _walk(start, 1 << start, start, steps, full, memo, [], found)
     return sorted(found)
+
+
+# The search state (visited set, end vertex) as one memo key; the end
+# vertex fits in 4 bits below HAMILTONIAN_VERTEX_LIMIT = 14.  The memo is
+# passed, not closed over: a closure that calls itself is a reference
+# cycle, and the memo would wait for the cyclic garbage collector.
+
+def _scan(v: int, visited: int, steps, full: int, memo) -> tuple[int, int]:
+    """(partial paths the backtracking visits from this state on, itself
+    included; greatest end vertex of a Hamiltonian completion, or -1)."""
+    key = visited << 4 | v
+    known = memo.get(key)
+    if known is None:
+        count, last = 1, v if visited == full else -1
+        for u, bit, _ in steps[v]:
+            if not visited & bit:
+                more, end = _scan(u, visited | bit, steps, full, memo)
+                count += more
+                if end > last:
+                    last = end
+        known = memo[key] = (count, last)
+    return known
+
+
+def _walk(v: int, visited: int, start: int, steps, full: int, memo, path, found):
+    """Append each Hamiltonian path from this state that ends at a vertex
+    >= start, as its sorted edge keys; ``path`` holds the edges so far."""
+    if visited == full:
+        found.append(tuple(sorted(path)))
+        return
+    for u, bit, key in steps[v]:
+        if not visited & bit and memo[(visited | bit) << 4 | u][1] >= start:
+            path.append(key)
+            _walk(u, visited | bit, start, steps, full, memo, path, found)
+            path.pop()
 
 
 @dataclass(frozen=True)
@@ -186,9 +211,10 @@ def discriminate_trees(
         if _tree_violations(n, known_edges, t):
             raise BadTree(f"{t} is not a maximal tree of the complex")
 
-    factors = _tree_classifier(complex)
+    factors = _tree_factors(complex)
     try:
-        invariants = tuple(factors(t) for t in trees)
+        invariants = tuple(CyclicFactorization((0,) * free + tuple(finite))
+                           for free, finite in map(factors, trees))
         used_abelianization = False
     except ConditionFailed:
         invariants = tuple(abelianization(complex.with_tree(t)) for t in trees)

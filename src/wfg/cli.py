@@ -23,7 +23,6 @@ from pathlib import Path
 from .analysis import (
     Filtration,
     analyze_filtration,
-    discriminate_trees,
     enumerate_hamiltonian_trees,
     filtration_from_json,
 )
@@ -38,8 +37,10 @@ from .complexes import (
 from .errors import InputError, ParseError, SchemaError, TooLarge, WfgError
 from .exact import AbelianGroup
 from .invariants import (
+    _tree_factors,
     abelianization,
     classify,
+    factorization_text,
     lcs_free_ranks,
     weighted_homology_graph,
 )
@@ -226,17 +227,24 @@ def _lcs_report(complex, args):
 
 
 def _hamiltonian_report(complex, args):
+    """``discriminate_trees`` on every Hamiltonian tree, as text.  The
+    enumerator builds the trees in a graph, where the exactly-two condition
+    holds vacuously, so the trees are not checked again and no tree falls
+    back to the abelianization."""
     trees = enumerate_hamiltonian_trees(complex)
-    report = discriminate_trees(complex, trees)
+    factors = _tree_factors(complex)
+    invariants = [factorization_text(*factors(t)) for t in trees]
+    distinguishable = len(set(invariants)) > 1
     write = sys.stdout.write
     if args.as_json:
-        _write_hamiltonian_json(write, complex.edge_keys, report)
+        _write_hamiltonian_json(write, complex.edge_keys, trees, invariants,
+                                distinguishable)
         return None
     label = {e: "{}-{}".format(*complex.edge_labels(e)) for e in complex.edge_keys}
     write(f"{len(trees)} Hamiltonian tree(s)\n")
-    for tree, inv in zip(trees, report.invariants):
+    for tree, inv in zip(trees, invariants):
         write(f"  [{', '.join([label[e] for e in tree])}] -> {inv}\n")
-    write(f"distinguishable: {report.distinguishable}\n")
+    write(f"distinguishable: {distinguishable}\n")
     return None
 
 
@@ -267,20 +275,20 @@ def _check_max_n(max_n: int):
                        "lower --max-n")
 
 
-def _write_hamiltonian_json(write, edge_keys, report):
+def _write_hamiltonian_json(write, edge_keys, trees, invariants, distinguishable):
     """Stream the ``hamiltonian --json`` report exactly as
     ``json.dump(payload, indent=2)`` lays it out, without the standard
     library's pure-Python indent encoder (about half of each op on K8):
     the shape is fixed, so each edge's fragment is built once and each
-    tree is one join."""
+    tree is one join.  An invariant's text holds only letters, digits,
+    "/", "*" and spaces, so quoting it is its JSON encoding."""
     edge = {e: _json_array(map(str, e), 3) for e in edge_keys}
-    write(f'{{\n  "count": {len(report.trees)},\n  "trees": ')
-    _write_json_array(write, (_json_array([edge[e] for e in t], 2)
-                              for t in report.trees))
+    write(f'{{\n  "count": {len(trees)},\n  "trees": ')
+    _write_json_array(write, (_json_array([edge[e] for e in t], 2) for t in trees))
     write(',\n  "invariants": ')
-    _write_json_array(write, (json.dumps(str(inv)) for inv in report.invariants))
-    write(f',\n  "used_abelianization": {json.dumps(report.used_abelianization)},'
-          f'\n  "distinguishable": {json.dumps(report.distinguishable)}\n}}\n')
+    _write_json_array(write, (f'"{inv}"' for inv in invariants))
+    write(f',\n  "used_abelianization": false,'
+          f'\n  "distinguishable": {json.dumps(distinguishable)}\n}}\n')
 
 
 def _json_array(items, depth: int) -> str:

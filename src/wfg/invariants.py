@@ -51,10 +51,14 @@ class CyclicFactorization:
         return AbelianGroup.from_cyclic_orders(self.orders)
 
     def __str__(self):
-        if not self.orders:
-            return "1"
         z = self.free_count  # the zeros come first
-        return " * ".join(["Z"] * z + [f"Z/{m}" for m in self.orders[z:]])
+        return factorization_text(z, self.orders[z:])
+
+
+def factorization_text(free: int, finite) -> str:
+    """The text of the free product of ``free`` copies of Z and of Z/m for
+    each order m >= 2 in ``finite``, ascending: "1" for the trivial group."""
+    return " * ".join(["Z"] * free + [f"Z/{m}" for m in finite]) or "1"
 
 
 def normalize_factorization(raw: Iterable[int]) -> CyclicFactorization:
@@ -95,16 +99,18 @@ def classify(complex: WeightedComplex) -> CyclicFactorization:
     condition: tree edges and non-tree triangle faces contribute |w|,
     remaining edges contribute an infinite factor."""
     tree = _tree_of(complex)
-    return _tree_classifier(complex)(tree)
+    free, finite = _tree_factors(complex)(tree)
+    return CyclicFactorization((0,) * free + tuple(finite))
 
 
-def _tree_classifier(complex: WeightedComplex):
+def _tree_factors(complex: WeightedComplex):
     """``classify`` of the complex against any tree: the returned function
-    takes a tree's (distinct) edge keys and raises ConditionFailed as
-    classify does.  Faces and weights are read once, here.  A call walks
-    the triangles and the tree's edges only: every face gives |w| whatever
-    the tree, and each other edge outside the tree gives Z, so those Z
-    factors are filled in by count."""
+    takes a tree's (distinct) edge keys, raises ConditionFailed as classify
+    does, and returns the number of Z factors and the finite orders,
+    ascending.  Faces and weights are read once, here.  A call walks the
+    triangles and the tree's edges only: every face gives |w| whatever the
+    tree, and each other edge outside the tree gives Z, so those Z factors
+    are filled in by count."""
     faces = triangle_faces(complex)
     face_orders = []
     others: dict[tuple[int, int], int] = {}  # |w| of each non-face edge
@@ -114,7 +120,7 @@ def _tree_classifier(complex: WeightedComplex):
         elif abs(w) != 1:
             face_orders.append(abs(w))
 
-    def factors(tree) -> CyclicFactorization:
+    def factors(tree) -> tuple[int, list[int]]:
         if complex.triangles:
             bad = _failing_triangle(complex.triangles, set(tree))
             if bad is not None:
@@ -124,8 +130,9 @@ def _tree_classifier(complex: WeightedComplex):
                     triangle=bad,
                 )
         in_tree = [others[e] for e in tree if e in others]
-        orders = face_orders + [m for m in in_tree if m != 1]
-        return CyclicFactorization(tuple(orders) + (0,) * (len(others) - len(in_tree)))
+        orders = sorted(face_orders + [m for m in in_tree if m != 1])
+        zeros = orders.count(0)  # |w| = 0 gives Z
+        return len(others) - len(in_tree) + zeros, orders[zeros:]
 
     return factors
 

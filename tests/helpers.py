@@ -487,6 +487,21 @@ def complexes_with_trees(draw, max_vertices=6):
     return K, trees
 
 
+@st.composite
+def weighted_graphs(draw, max_vertices=9):
+    """Connected graphs on one to max_vertices vertices, a random spanning
+    tree plus any other edges, with weights in -30..30, so that zero, unit
+    and repeated |w| factors all occur."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+    if pairs:
+        keys |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    keys = sorted(keys)
+    return WeightedComplex(tuple(f"v{i}" for i in range(n)),
+                           tuple((a, b, draw(st.integers(-30, 30))) for a, b in keys))
+
+
 def raw_document(vertices, edges, triangles=(), tree=None) -> dict:
     """A complex document written from raw values, as the constructor takes
     them, whether or not they make a complex."""

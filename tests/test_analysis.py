@@ -1,5 +1,10 @@
+import contextlib
+import gc
+import io
 import itertools
+import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,8 @@ from wfg.analysis import (
     enumerate_hamiltonian_trees,
     filtration_from_json,
 )
-from wfg.complexes import WeightedComplex, complex_from_json, validate
+from wfg.cli import main
+from wfg.complexes import WeightedComplex, complex_from_json, complex_to_json, validate
 from wfg.errors import BadTree, ConditionFailed, NotAGraph, NotNested, TooLarge
 from wfg.invariants import abelianization, classify
 
@@ -23,6 +29,7 @@ from helpers import (
     discriminate_trees_oracle,
     hamiltonian_trees_oracle,
     load_figure,
+    weighted_graphs,
 )
 
 FIGURE5 = filtration_from_json(load_figure("figure5-filtration.json"))
@@ -176,6 +183,54 @@ class TestEnumerateHamiltonianTrees:
             monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", count - 1)
             with pytest.raises(TooLarge, match=f"stopped at {count} partial"):
                 enumerate_hamiltonian_trees(K)
+
+    @given(K=weighted_graphs(max_vertices=9))
+    def test_matches_oracle_and_the_verb_matches_discriminate_trees(
+            self, K, tmp_path_factory):
+        trees, count = hamiltonian_trees_oracle(K)
+        with mock.patch.object(analysis, "HAMILTONIAN_PATH_BUDGET", count):
+            assert enumerate_hamiltonian_trees(K) == trees
+        with mock.patch.object(analysis, "HAMILTONIAN_PATH_BUDGET", count - 1):
+            with pytest.raises(TooLarge, match=f"stopped at {count} partial"):
+                enumerate_hamiltonian_trees(K)
+        # The verb classifies each tree without discriminate_trees.
+        path = tmp_path_factory.getbasetemp() / "hamiltonian-graph.json"
+        path.write_text(json.dumps(complex_to_json(K)), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["hamiltonian", str(path), "--json"]) == 0
+        report = discriminate_trees(K, trees)
+        got = json.loads(out.getvalue())
+        assert got["invariants"] == [str(inv) for inv in report.invariants]
+        assert got["distinguishable"] == report.distinguishable
+
+    def test_complete_graph_at_the_vertex_limit_is_past_the_budget(self):
+        n = analysis.HAMILTONIAN_VERTEX_LIMIT
+        K = WeightedComplex(tuple(f"v{i}" for i in range(n)),
+                            tuple((a, b, 1) for a, b in itertools.combinations(range(n), 2)))
+        with pytest.raises(TooLarge) as err:
+            enumerate_hamiltonian_trees(K)
+        assert str(err.value) == ("Hamiltonian enumeration stopped at 2000001 partial "
+                                  "paths, past the budget of 2000000")
+
+    def test_leaves_no_cyclic_garbage(self, monkeypatch):
+        # The search state is freed by reference counting as soon as the
+        # enumeration returns or raises; a reference cycle (a closure that
+        # calls itself) would keep it until the cyclic collector runs.
+        n = 14
+        keys = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 5) for i in range(0, n - 5, 2)]
+        K = WeightedComplex(tuple(f"v{i}" for i in range(n)),
+                            tuple((min(e), max(e), 2) for e in keys))
+        gc.collect()
+        gc.disable()  # so that no automatic collection hides a cycle
+        try:
+            assert enumerate_hamiltonian_trees(K)
+            monkeypatch.setattr(analysis, "HAMILTONIAN_PATH_BUDGET", 100)
+            with pytest.raises(TooLarge):
+                enumerate_hamiltonian_trees(K)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDiscriminateTrees:
