@@ -1,10 +1,10 @@
 """Exact integer kernels.
 
-Everything in this module is arbitrary precision: dense integer matrices
-with Smith normal form, finitely generated abelian groups in invariant
-factor form with a sparse kernel that finds them from a relation matrix,
-and the Moebius function.  No floating point appears on any
-computation path.
+Everything in this module is arbitrary precision: integer matrices
+stored by their nonzeros, with a dense Smith normal form, finitely
+generated abelian groups in invariant factor form with a sparse kernel
+that finds them from a relation matrix, and the Moebius function.  No
+floating point appears on any computation path.
 
 The sparse kernel picks its pivots from a heap with one key per row: the
 least (|value|, Markowitz cost, row, column) over the row's entries.  The
@@ -18,31 +18,52 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
 from .errors import NonPositive, ShapeMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegerMatrix:
-    """Dense integer matrix, entries stored row-major."""
+    """Integer matrix stored as its nonzeros: ``sparse_rows[i]`` holds the
+    (column, value) pairs of row i in column order.  The dense row-major
+    ``entries`` are built on first read, unless the matrix was built from
+    them."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    sparse_rows: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+        if rows < 0 or cols < 0:
             raise ShapeMismatch("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ShapeMismatch(
-                f"{self.rows}x{self.cols} matrix needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
         # operator.index, not int: 2.9 or "7" is no integer entry.
-        object.__setattr__(self, "entries", tuple(map(operator.index, self.entries)))
+        entries = tuple(map(operator.index, entries))
+        positions = range(cols)
+        sparse = tuple(tuple(zip(compress(positions, line), filter(None, line)))
+                       for line in (entries[i * cols:(i + 1) * cols] for i in range(rows)))
+        self.__dict__.update(rows=rows, cols=cols, sparse_rows=sparse, entries=entries)
+
+    @classmethod
+    def from_sparse_rows(cls, cols: int, rows: Sequence[dict[int, int]]) -> "IntegerMatrix":
+        """The matrix with one row per {column: value} dict; zeros are dropped."""
+        sparse = []
+        for row in rows:
+            pairs = sorted((j, operator.index(x)) for j, x in row.items())
+            if pairs and not 0 <= pairs[0][0] <= pairs[-1][0] < cols:
+                raise ShapeMismatch(f"a column of {row} is outside 0..{cols - 1}")
+            sparse.append(tuple(pair for pair in pairs if pair[1]))
+        matrix = cls.__new__(cls)
+        matrix.__dict__.update(rows=len(sparse), cols=cols, sparse_rows=tuple(sparse))
+        return matrix
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -54,6 +75,15 @@ class IntegerMatrix:
         if cols is not None and cols != width:
             raise ShapeMismatch(f"rows have {width} columns, expected {cols}")
         return cls(len(rows), width, tuple(x for r in rows for x in r))
+
+    @cached_property
+    def entries(self) -> tuple[int, ...]:
+        c = self.cols
+        out = [0] * (self.rows * c)
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                out[i * c + j] = x
+        return tuple(out)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -183,18 +213,21 @@ class AbelianGroup:
         from its largest factor d: d becomes lcm(d, carry) and the carry
         gcd(d, carry), until the carry is 1; a carry left over becomes the
         new smallest factor.  For each prime this is an insertion sort of
-        the exponents, so the chain is the unique invariant-factor form."""
+        the exponents, so the chain is the unique invariant-factor form.
+        A factor the carry divides is left as it is, and those factors form
+        a prefix of what is left of the chain, so bisection jumps to the
+        next factor that changes; the carry strictly falls there."""
         orders = [abs(operator.index(m)) for m in orders]
         chain: list[int] = []  # largest factor first
         for carry in orders:
-            if carry == 0:
-                continue
-            for j, d in enumerate(chain):
-                if carry == 1:
+            j = 0
+            while carry > 1:
+                j = bisect_left(chain, True, j, key=lambda d: d % carry != 0)
+                if j == len(chain):
+                    chain.append(carry)
                     break
-                chain[j], carry = math.lcm(d, carry), math.gcd(d, carry)
-            if carry != 1:
-                chain.append(carry)
+                chain[j], carry = math.lcm(chain[j], carry), math.gcd(chain[j], carry)
+                j += 1
         return cls(orders.count(0), tuple(reversed(chain)))
 
     def __str__(self):
@@ -236,16 +269,11 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
     into invariant factors by ``AbelianGroup.from_cyclic_orders``.
     """
     n = A.cols
-    positions = range(n)
-    rows: dict[int, dict[int, int]] = {}
-    users: list[set[int]] = [set() for _ in positions]
-    for i in range(A.rows):
-        line = A.entries[i * n:(i + 1) * n]
-        row = dict(zip(compress(positions, line), filter(None, line)))
-        if row:
-            rows[i] = row
-            for j in row:
-                users[j].add(i)
+    rows = {i: dict(row) for i, row in enumerate(A.sparse_rows) if row}
+    users: list[set[int]] = [set() for _ in range(n)]
+    for i, row in rows.items():
+        for j in row:
+            users[j].add(i)
 
     def key(i):
         row = rows[i]

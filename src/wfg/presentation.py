@@ -102,14 +102,14 @@ def present(complex: WeightedComplex) -> Presentation:
 
 def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
     """One row per relator, one column per generator, entries the signed
-    exponent sums."""
-    cols = len(p.generators)
-    entries = [0] * (len(p.relators) * cols)
-    for i, word in enumerate(p.relators):
-        base = i * cols
+    exponent sums; only the nonzeros are stored."""
+    rows = []
+    for word in p.relators:
+        row: dict[int, int] = {}
         for g, e in word:
-            entries[base + g] += e
-    return IntegerMatrix(len(p.relators), cols, entries)
+            row[g] = row.get(g, 0) + e
+        rows.append(row)
+    return IntegerMatrix.from_sparse_rows(len(p.generators), rows)
 
 
 def abelianized_group(p: Presentation) -> AbelianGroup:

@@ -21,6 +21,7 @@ from wfg import (
     IntegerMatrix,
     Presentation,
     WeightedComplex,
+    WeightedHomology,
     abelianization,
     analyze_filtration,
     classify,
@@ -320,10 +321,49 @@ def cyclic_orders_oracle(orders) -> AbelianGroup:
     return AbelianGroup(orders.count(0), tuple(m for m in finite if m != 1))
 
 
+def chain_insertion_oracle(orders) -> AbelianGroup:
+    """Invariant factors of a direct sum of cyclic groups (order 0 meaning
+    Z) by linear insertion into the divisor chain, largest factor first:
+    every factor is visited, d becoming lcm(d, carry) and the carry
+    gcd(d, carry), until the carry is 1.  The oracle for the bisecting
+    insertion of ``AbelianGroup.from_cyclic_orders``."""
+    orders = [abs(m) for m in orders]
+    chain: list[int] = []
+    for carry in orders:
+        if carry == 0:
+            continue
+        for j, d in enumerate(chain):
+            if carry == 1:
+                break
+            chain[j], carry = math.lcm(d, carry), math.gcd(d, carry)
+        if carry != 1:
+            chain.append(carry)
+    return AbelianGroup(orders.count(0), tuple(reversed(chain)))
+
+
 def diagonal_group(diag, n_generators: int) -> AbelianGroup:
     """Z^n_generators modulo the diagonal relations d_i * e_i."""
     rank = sum(1 for d in diag if d != 0)
     return AbelianGroup(n_generators - rank, tuple(d for d in diag if d >= 2))
+
+
+def h0_presentation(K: WeightedComplex) -> Presentation:
+    """H0 of a weighted graph presented for the sparse kernel: one
+    generator per vertex and the relator [a]^-w [b]^w per edge [a, b]."""
+    return Presentation(K.vertices, [((a, -w), (b, w)) for a, b, w in K.edges])
+
+
+def dense_homology(K: WeightedComplex) -> WeightedHomology:
+    """Weighted homology of a graph read off the dense Smith form of its
+    vertices x edges boundary matrix."""
+    n_v, n_e = len(K.vertices), len(K.edges)
+    boundary = [[0] * n_e for _ in range(n_v)]
+    for j, (a, b, w) in enumerate(K.edges):
+        boundary[a][j] -= w
+        boundary[b][j] += w
+    diag = smith_normal_form(IntegerMatrix.from_rows(boundary, n_e)).diagonal()
+    rank = sum(1 for d in diag if d)
+    return WeightedHomology(h0=diagonal_group(diag, n_v), h1=AbelianGroup(n_e - rank))
 
 
 def classify_oracle(complex: WeightedComplex) -> CyclicFactorization:
@@ -500,6 +540,28 @@ def weighted_graphs(draw, max_vertices=9):
     keys = sorted(keys)
     return WeightedComplex(tuple(f"v{i}" for i in range(n)),
                            tuple((a, b, draw(st.integers(-30, 30))) for a, b in keys))
+
+
+# |w| for homology graphs: units, small and large numbers, numbers near
+# 2^64, and a set whose members share the factors 2 and 3.
+HOMOLOGY_WEIGHTS = st.one_of(
+    st.just(1),
+    st.integers(2, 10 ** 6),
+    st.integers(2 ** 64 - 10 ** 4, 2 ** 64 + 10 ** 4),
+    st.sampled_from((4, 6, 8, 9, 12, 18, 36)),
+)
+
+
+@st.composite
+def homology_graphs(draw, max_vertices=9):
+    """Graphs on one to max_vertices vertices, any edge set (so possibly
+    disconnected), with nonzero weights of either sign from
+    HOMOLOGY_WEIGHTS."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    return WeightedComplex(tuple(f"v{i}" for i in range(n)), tuple(
+        (a, b, draw(st.sampled_from((1, -1))) * draw(HOMOLOGY_WEIGHTS)) for a, b in keys))
 
 
 def raw_document(vertices, edges, triangles=(), tree=None) -> dict:

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wfg.errors import NonPositive, ShapeMismatch
 from wfg.exact import (
@@ -18,6 +21,7 @@ from helpers import (
     OrderMismatch,
     RationalSeries,
     binomial_series,
+    chain_insertion_oracle,
     check_snf_contract,
     cyclic_orders_oracle,
     dense_abelian_group,
@@ -60,6 +64,27 @@ class TestIntegerMatrix:
         # int() would truncate 2.9 to 2, so the 1x1 matrix presented Z/2.
         with pytest.raises(TypeError):
             IntegerMatrix(1, 1, (entry,))
+
+    def test_sparse_rows_match_the_dense_form(self):
+        A = IntegerMatrix.from_sparse_rows(3, [{2: 5, 0: -1}, {}, {1: 0, 2: True}])
+        assert A.sparse_rows == (((0, -1), (2, 5)), (), ((2, 1),))
+        assert A == IntegerMatrix.from_rows([[-1, 0, 5], [0, 0, 0], [0, 0, 1]])
+        assert A.entries == (-1, 0, 5, 0, 0, 0, 0, 0, 1)
+        assert A.to_rows() == [[-1, 0, 5], [0, 0, 0], [0, 0, 1]]
+        assert A.entry(0, 2) == 5 and A.entry(1, 1) == 0
+        assert hash(A) == hash(IntegerMatrix(3, 3, A.entries))
+
+    @pytest.mark.parametrize("row, error", [
+        ({3: 1}, ShapeMismatch), ({-1: 1}, ShapeMismatch), ({0: 2.9}, TypeError),
+    ])
+    def test_sparse_rows_checked(self, row, error):
+        with pytest.raises(error):
+            IntegerMatrix.from_sparse_rows(3, [row])
+
+    def test_immutable(self):
+        A = IntegerMatrix.from_rows([[1, 2]])
+        with pytest.raises(AttributeError):
+            A.rows = 3
 
     def test_determinant(self):
         assert determinant(identity_matrix(3)) == 1
@@ -229,6 +254,14 @@ class TestAbelianGroup:
             orders = [rng.choice(pool) if rng.random() < 0.7 else rng.randint(-10 ** 6, 10 ** 6)
                       for _ in range(rng.randint(0, 10))]
             assert AbelianGroup.from_cyclic_orders(orders) == cyclic_orders_oracle(orders)
+
+    @given(st.lists(st.one_of(
+        st.integers(-40, 40),
+        st.sampled_from((2 ** 61 - 1, 10 ** 30, 2 ** 40, 3 ** 20, 6 * (2 ** 31 - 1))),
+        st.builds(math.prod, st.lists(st.sampled_from((2, 3, 4, 5, 9, 25)), max_size=6)),
+    ), max_size=40))
+    def test_from_cyclic_orders_agrees_with_linear_insertion(self, orders):
+        assert AbelianGroup.from_cyclic_orders(orders) == chain_insertion_oracle(orders)
 
     def test_from_cyclic_orders_agrees_with_snf_route(self):
         rng = random.Random(17)

@@ -3,7 +3,7 @@ import random
 import types
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from wfg.complexes import WeightedComplex, complex_from_json
 from wfg.errors import (
@@ -13,9 +13,10 @@ from wfg.errors import (
     NonPositive,
     ZeroWeightEdge,
 )
-from wfg import exact
-from wfg.exact import AbelianGroup, IntegerMatrix, smith_normal_form
-from wfg.presentation import abelianized_relation_matrix, present
+from wfg import exact, presentation
+from wfg.analysis import Filtration, analyze_filtration
+from wfg.exact import AbelianGroup, IntegerMatrix
+from wfg.presentation import abelianized_group, abelianized_relation_matrix, present
 from wfg.vankampen import amalgamated_presentation, verify_van_kampen
 from wfg.invariants import (
     CyclicFactorization,
@@ -39,8 +40,10 @@ from helpers import (
     complexes,
     complexes_with_trees,
     dense_abelian_group,
-    diagonal_group,
+    dense_homology,
     grid_skeleton,
+    h0_presentation,
+    homology_graphs,
     lcs_ranks_oracle,
     load_figure,
     random_connected_graph,
@@ -266,16 +269,7 @@ class TestSparseKernelOnGrids:
         rng = random.Random(k)
         for _ in range(3):
             K = grid_skeleton(rng, k)
-            n_v, n_e = len(K.vertices), len(K.edges)
-            boundary = [[0] * n_e for _ in range(n_v)]
-            for j, (a, b, w) in enumerate(K.edges):
-                boundary[a][j] -= w
-                boundary[b][j] += w
-            diag = smith_normal_form(IntegerMatrix.from_rows(boundary, n_e)).diagonal()
-            rank = sum(1 for d in diag if d)
-            homology = weighted_homology_graph(K)
-            assert homology.h0 == diagonal_group(diag, n_v)
-            assert homology.h1 == AbelianGroup(n_e - rank)
+            assert weighted_homology_graph(K) == dense_homology(K)
 
     @pytest.mark.parametrize("k", (2, 4))
     def test_split_grid_cover(self, k):
@@ -298,8 +292,8 @@ class TestSparseKernelOnGrids:
     def test_heap_pushes_pinned(self, monkeypatch):
         """The heap holds one key per row and a step pushes only the keys it
         changed.  A heap with one key per entry made 19,050 pushes on the
-        skeleton below and 145,652 on the big-weight grid; the pivots, and
-        so the results, are the same."""
+        skeleton's H0 relators below and 145,652 on the big-weight grid;
+        the pivots, and so the results, are the same."""
         pushes = []
 
         def heappush(heap, item):
@@ -309,8 +303,8 @@ class TestSparseKernelOnGrids:
         counting = types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop,
                                          heapify=heapq.heapify)
         monkeypatch.setattr(exact, "heapq", counting)
-        weighted_homology_graph(grid_skeleton(random.Random(8), 8))
-        assert len(pushes) <= 5_000
+        abelianized_group(h0_presentation(grid_skeleton(random.Random(8), 8)))
+        assert 0 < len(pushes) <= 5_000
         pushes.clear()
         abelianization(big_weight_grid(random.Random(5), 6))
         assert len(pushes) <= 20_000
@@ -319,11 +313,51 @@ class TestSparseKernelOnGrids:
         def refuse(A):
             raise AssertionError("dense Smith form called")
 
+        builds = []
+        dense = IntegerMatrix.entries.func
         monkeypatch.setattr(exact, "smith_normal_form", refuse)
+        monkeypatch.setattr(IntegerMatrix, "entries",
+                            property(lambda A: builds.append(A) or dense(A)))
         rng = random.Random(0)
         abelianization(triangulated_grid(rng, 3))
-        weighted_homology_graph(grid_skeleton(rng, 3))
         verify_van_kampen(split_grid_cover(rng, 2))
+        analysis = analyze_filtration(Filtration((FIGURE3, FIGURE3), {}), fallback_abelian=True)
+        assert analysis.abelian_fallback_stages == (0, 1)
+        assert builds == []
+
+    def test_homology_runs_no_kernel(self, monkeypatch):
+        K = grid_skeleton(random.Random(0), 3)
+        expected = dense_homology(K)
+
+        def refuse(A):
+            raise AssertionError("invariant-factor kernel or dense Smith form called")
+
+        for module in (exact, presentation):
+            monkeypatch.setattr(module, "abelian_group_from_matrix", refuse)
+        monkeypatch.setattr(exact, "smith_normal_form", refuse)
+        assert weighted_homology_graph(K) == expected
+
+
+class TestClosedFormH0:
+    """H0 from minimum spanning forests against the sparse kernel and the
+    dense Smith form of the boundary, on graphs that may be disconnected."""
+
+    @settings(max_examples=300)
+    @given(homology_graphs())
+    def test_matches_kernel_and_dense_form(self, K):
+        homology = weighted_homology_graph(K)
+        assert homology.h0 == abelianized_group(h0_presentation(K))
+        assert homology == dense_homology(K)
+
+    def test_shared_factors(self):
+        # A triangle with weights 4, 6, 9: d1 = gcd = 1, d1*d2 = gcd of the
+        # two-edge products 24, 36, 54 = 6, so H0 = Z + Z/6.
+        K = WeightedComplex(("a", "b", "c"), ((0, 1, 4), (0, 2, 6), (1, 2, -9)))
+        assert weighted_homology_graph(K).h0 == AbelianGroup(1, (6,))
+
+    def test_components_are_free(self):
+        K = WeightedComplex(("a", "b", "c", "d", "e"), ((0, 1, 12), (2, 3, 2 ** 64)))
+        assert weighted_homology_graph(K).h0 == AbelianGroup(3, (4, 3 * 2 ** 64))
 
 
 class TestLcsFreeRanks:
