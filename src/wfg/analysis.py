@@ -10,14 +10,15 @@ classifying the complex against each tree can tell different paths apart.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
+# Called as module.function, so that a wrapper set on that module (as
+# bench/spans.py sets them) sees every call, whenever this module loaded.
+from . import complexes, invariants
 from .complexes import (
     Tree,
     WeightedComplex,
     _tree_violations,
-    complex_from_json,
     ensure_tree,
     is_weighted_subcomplex,
 )
@@ -29,13 +30,8 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .invariants import (
-    CyclicFactorization,
-    _tree_factors,
-    abelianization,
-    classify,
-    normalize_factorization,
-)
+from .invariants import CyclicFactorization, _tree_factors, normalize_factorization
+from .record import Record
 
 UNKNOWN_REGION = "unknown"
 
@@ -46,26 +42,23 @@ HAMILTONIAN_VERTEX_LIMIT = 14
 HAMILTONIAN_PATH_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     stages: tuple[WeightedComplex, ...]
-    region_map: dict[int, str] = field(default_factory=dict)
+    region_map: dict[int, str] = {}  # copied by __post_init__, never shared
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "region_map", dict(self.region_map))
 
 
-@dataclass(frozen=True)
-class BirthDeathEvent:
+class BirthDeathEvent(Record):
     stage: int
     kind: str  # "birth" or "death"
     factor: int  # 0 for an infinite cyclic factor, m >= 2 otherwise
     region: str
 
 
-@dataclass(frozen=True)
-class FiltrationAnalysis:
+class FiltrationAnalysis(Record):
     stage_factors: tuple[CyclicFactorization, ...]
     events: tuple[BirthDeathEvent, ...]
     abelian_fallback_stages: tuple[int, ...]
@@ -74,13 +67,13 @@ class FiltrationAnalysis:
 def _stage_factors(stage: WeightedComplex, index: int, fallback_abelian: bool):
     prepared = ensure_tree(stage)
     try:
-        return classify(prepared), False
+        return invariants.classify(prepared), False
     except ConditionFailed as err:
         if not fallback_abelian:
             raise ConditionFailed(
                 f"stage {index}: {err}", triangle=err.triangle, stage=index
             ) from err
-        ab = abelianization(prepared)
+        ab = invariants.abelianization(prepared)
         return normalize_factorization([0] * ab.free_rank + list(ab.torsion)), True
 
 
@@ -189,8 +182,7 @@ def _walk(v: int, visited: int, start: int, steps, full: int, memo, path, found)
             path.pop()
 
 
-@dataclass(frozen=True)
-class TreeDiscriminationReport:
+class TreeDiscriminationReport(Record):
     trees: tuple[Tree, ...]
     invariants: tuple
     distinguishable: bool
@@ -213,15 +205,15 @@ def discriminate_trees(
 
     factors = _tree_factors(complex)
     try:
-        invariants = tuple(CyclicFactorization((0,) * free + tuple(finite))
-                           for free, finite in map(factors, trees))
+        values = tuple(CyclicFactorization((0,) * free + tuple(finite))
+                       for free, finite in map(factors, trees))
         used_abelianization = False
     except ConditionFailed:
-        invariants = tuple(abelianization(complex.with_tree(t)) for t in trees)
+        values = tuple(invariants.abelianization(complex.with_tree(t)) for t in trees)
         used_abelianization = True
 
-    distinguishable = any(inv != invariants[0] for inv in invariants[1:])
-    return TreeDiscriminationReport(trees, invariants, distinguishable, used_abelianization)
+    distinguishable = any(inv != values[0] for inv in values[1:])
+    return TreeDiscriminationReport(trees, values, distinguishable, used_abelianization)
 
 
 def filtration_from_json(doc) -> Filtration:
@@ -232,7 +224,7 @@ def filtration_from_json(doc) -> Filtration:
     stages = []
     for i, stage_doc in enumerate(doc["stages"]):
         try:
-            stages.append(complex_from_json(stage_doc))
+            stages.append(complexes.complex_from_json(stage_doc))
         except SchemaError as err:
             raise SchemaError(f"stage {i}: {err}") from err
     region_map = {}

@@ -8,6 +8,10 @@ that writes its own output (``hamiltonian`` streams its trees) returns
 ``None`` once it has written. A complex that fails validation raises
 ``_Invalid``, whose lines ``main`` writes to stderr.
 
+A process imports only what its verb runs: beyond ``complexes``, each
+report (and each document shape in ``parse_input``) imports the modules
+it calls, so that a run of one verb does not pay for loading the others.
+
 Exit codes: 0 success, 1 malformed input or failed validation, 2 violated
 mathematical precondition (for example the exactly-two condition).
 """
@@ -17,15 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-from .analysis import (
-    Filtration,
-    analyze_filtration,
-    enumerate_hamiltonian_trees,
-    filtration_from_json,
-)
 from .complexes import (
     TREE_STRATEGIES,
     WeightedComplex,
@@ -35,17 +31,7 @@ from .complexes import (
     validate,
 )
 from .errors import InputError, ParseError, SchemaError, TooLarge, WfgError
-from .exact import AbelianGroup
-from .invariants import (
-    _tree_factors,
-    abelianization,
-    classify,
-    factorization_text,
-    lcs_free_ranks,
-    weighted_homology_graph,
-)
-from .presentation import present, presentation_to_json
-from .vankampen import CoverSpec, cover_from_json, verify_van_kampen
+from .record import replace
 
 # The most decimal digits Python converts to text: the interpreter's limit
 # (0 means none, and Python before 3.10.7 has none), capped at the default
@@ -60,7 +46,8 @@ MAX_N_LIMIT = RANK_DIGIT_LIMIT * 10 // 3
 def parse_input(path: str):
     """Load a complex, cover, or filtration document, detected by shape."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     try:
@@ -70,8 +57,10 @@ def parse_input(path: str):
         # Python's digit limit; deep nesting exhausts the recursion limit.
         raise ParseError(f"{path}: not valid JSON: {err}") from err
     if isinstance(doc, dict) and "stages" in doc:
+        from .analysis import filtration_from_json
         return filtration_from_json(doc)
     if isinstance(doc, dict) and ("L" in doc or "K1" in doc):
+        from .vankampen import cover_from_json
         return cover_from_json(doc)
     return complex_from_json(doc)
 
@@ -91,9 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, help_text, report, kind=WeightedComplex, tree=None):
-        """``tree`` is "use" for a verb that needs the complex's tree (the
-        document's, else one built), "build" for one that builds its own."""
+    def add(verb, help_text, report, kind="WeightedComplex", tree=None):
+        """``kind`` names the class of document the verb takes; ``tree`` is
+        "use" for a verb that needs the complex's tree (the document's, else
+        one built), "build" for one that builds its own."""
         p = sub.add_parser(verb, help=help_text)
         p.set_defaults(report=report, kind=kind, needs_tree=tree == "use")
         p.add_argument("input", help="path to a JSON input document")
@@ -119,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     lcs.add_argument("--max-n", type=int, default=6, dest="max_n",
                      help="compute R_1..R_N (default 6)")
     add("vankampen", "check a two-piece cover and compare both presentations",
-        _vankampen_report, kind=CoverSpec)
+        _vankampen_report, kind="CoverSpec")
     filtration = add("filtration", "birth/death events along a filtration",
-                     _filtration_report, kind=Filtration)
+                     _filtration_report, kind="Filtration")
     filtration.add_argument("--fallback-abelian", action="store_true",
                             dest="fallback_abelian",
                             help="diff abelianizations at stages failing "
@@ -141,9 +131,11 @@ def _require_valid(complex: WeightedComplex, prefix: str):
         raise _Invalid("\n".join(f"{prefix} [{r}]: {m}" for r, m in report.violations))
 
 
-_KINDS = {WeightedComplex: "a weighted complex document",
-          CoverSpec: "a cover document with L, K1, K2, K0",
-          Filtration: 'a document with "stages"'}
+# parse_input builds exactly these classes, so the class name tells the
+# kind without importing the modules of the other two.
+_KINDS = {"WeightedComplex": "a weighted complex document",
+          "CoverSpec": "a cover document with L, K1, K2, K0",
+          "Filtration": 'a document with "stages"'}
 
 
 def _document(args):
@@ -152,9 +144,9 @@ def _document(args):
     a stored tree the verb does not use (every verb but those that need a
     tree, and those under ``--tree``), ``validate`` and ``ensure_tree``."""
     value = parse_input(args.input)
-    if not isinstance(value, args.kind):
+    if type(value).__name__ != args.kind:
         raise SchemaError(f"{args.verb} expects {_KINDS[args.kind]}")
-    if args.kind is not WeightedComplex or args.report is _validate_report:
+    if args.kind != "WeightedComplex" or args.report is _validate_report:
         return value
     if not args.needs_tree or args.tree is not None:
         value = replace(value, tree=None)
@@ -162,7 +154,7 @@ def _document(args):
     return ensure_tree(value, args.tree or "bfs") if args.needs_tree else value
 
 
-def _abelian_json(group: AbelianGroup) -> dict:
+def _abelian_json(group) -> dict:
     return {
         "free_rank": group.free_rank,
         "invariant_factors": list(group.torsion),
@@ -195,22 +187,26 @@ def _tree_report(complex, args):
 
 
 def _present_report(complex, args):
+    from .presentation import present, presentation_to_json
     p = present(complex)
     return presentation_to_json(p), str(p), 0
 
 
 def _classify_report(complex, args):
+    from .invariants import classify
     factors = classify(complex)
     return {"factors": list(factors.orders), "text": str(factors)}, str(factors), 0
 
 
 def _abelianize_report(complex, args):
+    from .invariants import abelianization
     group = abelianization(complex)
     _check_factor_digits(group.torsion)
     return _abelian_json(group), str(group), 0
 
 
 def _homology_report(complex, args):
+    from .invariants import weighted_homology_graph
     homology = weighted_homology_graph(complex)
     _check_factor_digits(homology.h0.torsion + homology.h1.torsion)
     payload = {"h1": _abelian_json(homology.h1), "h0": _abelian_json(homology.h0)}
@@ -218,6 +214,7 @@ def _homology_report(complex, args):
 
 
 def _lcs_report(complex, args):
+    from .invariants import classify, lcs_free_ranks
     factors = classify(complex)
     _check_rank_digits(factors.free_count, args.max_n)
     _check_max_n(args.max_n)
@@ -231,6 +228,8 @@ def _hamiltonian_report(complex, args):
     enumerator builds the trees in a graph, where the exactly-two condition
     holds vacuously, so the trees are not checked again and no tree falls
     back to the abelianization."""
+    from .analysis import enumerate_hamiltonian_trees
+    from .invariants import _tree_factors, factorization_text
     trees = enumerate_hamiltonian_trees(complex)
     factors = _tree_factors(complex)
     invariants = [factorization_text(*factors(t)) for t in trees]
@@ -307,7 +306,8 @@ def _write_json_array(write, items):
     write("[]" if opener == "[\n    " else "\n  ]")
 
 
-def _vankampen_report(spec: CoverSpec, args):
+def _vankampen_report(spec, args):
+    from .vankampen import verify_van_kampen
     report = verify_van_kampen(spec)
     _check_factor_digits(d for g in (report.abelianization_amalgamated,
                                      report.abelianization_direct)
@@ -351,7 +351,8 @@ def _vankampen_report(spec: CoverSpec, args):
     return payload, "\n".join(lines), 0 if report.hypotheses_ok else 2
 
 
-def _filtration_report(f: Filtration, args):
+def _filtration_report(f, args):
+    from .analysis import analyze_filtration
     for i, stage in enumerate(f.stages):
         _require_valid(stage, f"stage {i} invalid")
     analysis = analyze_filtration(f, fallback_abelian=args.fallback_abelian)

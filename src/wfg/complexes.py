@@ -16,12 +16,12 @@ tree that is not a maximal tree.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
 from functools import cached_property
 from operator import index
-from typing import Iterable, Optional
 
 from .errors import MissingTree, NotConnected, SchemaError
+from .record import Record, replace
 
 EdgeKey = tuple[int, int]
 Tree = tuple[EdgeKey, ...]
@@ -59,14 +59,13 @@ class UnionFind:
         return joined
 
 
-@dataclass(frozen=True)
-class WeightedComplex:
+class WeightedComplex(Record):
     """The triple of complex, integer edge weights, and optional maximal tree."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]
     triangles: tuple[tuple[int, int, int], ...] = ()
-    tree: Optional[Tree] = None
+    tree: Tree | None = None
 
     def __post_init__(self):
         # operator.index, not int: a weight of 2.5 or "7" is a TypeError.
@@ -128,8 +127,7 @@ class WeightedComplex:
         return (self.vertices[key[0]], self.vertices[key[1]])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violations: tuple[tuple[str, str], ...]
 
@@ -214,7 +212,7 @@ def ensure_tree(complex: WeightedComplex, strategy: str = "bfs") -> WeightedComp
     return complex.with_tree(compute_maximal_tree(complex, strategy))
 
 
-def _embedding(inner: WeightedComplex, outer: WeightedComplex) -> Optional[list[int]]:
+def _embedding(inner: WeightedComplex, outer: WeightedComplex) -> list[int] | None:
     """Positions of inner's vertices inside outer, or None when inner's
     labels are not an order-preserving subset of outer's."""
     pos = {label: i for i, label in enumerate(outer.vertices)}

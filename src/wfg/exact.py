@@ -19,16 +19,15 @@ import heapq
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import compress
-from typing import Sequence
 
 from .errors import NonPositive, ShapeMismatch
+from .record import Record
 
 
-@dataclass(frozen=True, init=False)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Integer matrix stored as its nonzeros: ``sparse_rows[i]`` holds the
     (column, value) pairs of row i in column order.  The dense row-major
     ``entries`` are built on first read, unless the matrix was built from
@@ -93,8 +92,7 @@ class IntegerMatrix:
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith normal form U*A*V = D with U, V unimodular and D diagonal."""
 
     U: IntegerMatrix
@@ -184,8 +182,7 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     )
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group: Z^free_rank + Z/d1 + ... + Z/dk
     with 2 <= d1 | d2 | ... | dk (invariant factors)."""
 

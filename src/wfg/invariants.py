@@ -10,10 +10,12 @@ necklace count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import index
-from typing import Iterable
 
+# Called as module.function, so that a wrapper set on that module (as
+# bench/spans.py sets them) sees every call, whenever this module loaded.
+from . import presentation
 from .complexes import UnionFind, WeightedComplex
 from .errors import (
     ConditionFailed,
@@ -24,11 +26,10 @@ from .errors import (
     ZeroWeightEdge,
 )
 from .exact import AbelianGroup, mobius
-from .presentation import abelianized_group, present
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CyclicFactorization:
+class CyclicFactorization(Record):
     """A free product of cyclic groups as the sorted multiset of their
     orders: 0 encodes an infinite cyclic factor, m >= 2 a finite one."""
 
@@ -141,11 +142,10 @@ def _tree_factors(complex: WeightedComplex):
 def abelianization(complex: WeightedComplex) -> AbelianGroup:
     """Abelianization of the weighted fundamental group, via the exponent
     sum matrix of the defining presentation."""
-    return abelianized_group(present(complex))
+    return presentation.abelianized_group(presentation.present(complex))
 
 
-@dataclass(frozen=True)
-class WeightedHomology:
+class WeightedHomology(Record):
     h0: AbelianGroup
     h1: AbelianGroup
 
@@ -176,17 +176,17 @@ def _weighted_h0(n_vertices: int, edges) -> AbelianGroup:
     v_p(d_k) is the valuation of the k-th edge it accepts.  The elements q
     of a coprime base of the |w| stand in for the primes (a prime divides
     one q, and its valuations follow that q's), and the parts q^c
-    recombine into invariant factors.  A q that divides no weight of one
-    spanning forest adds nothing: the edges it does not divide already
-    span.  The free rank is the number of components."""
+    recombine into invariant factors.  A prime that divides no weight of
+    one spanning forest adds nothing: the edges it does not divide already
+    span.  So the base is built only from the part of each |w| made of
+    primes of one forest's product, which keeps it small.  The free rank
+    is the number of components."""
     forest = UnionFind(n_vertices)
-    # Least weights first, so that few base elements divide the forest's.
+    # Least weights first, so that the product has few primes.
     product = math.prod(abs(w) for a, b, w in sorted(edges, key=lambda e: abs(e[2]))
                         if forest.union(a, b))
     orders = [0] * forest.components
-    for q in _coprime_base({abs(w) for *_, w in edges}):
-        if math.gcd(product, q) == 1:
-            continue
+    for q in _coprime_base({_shared_part(abs(w), product) for *_, w in edges}):
         greedy = UnionFind(n_vertices)
         greedy.union_all((a, b) for a, b, w in edges if w % q)
         for c, a, b in sorted((_valuation(w, q), a, b) for a, b, w in edges if not w % q):
@@ -218,6 +218,16 @@ def _coprime_base(numbers) -> list[int]:
             else:
                 base.append(a)
     return base
+
+
+def _shared_part(n: int, m: int) -> int:
+    """The largest divisor of n whose primes all divide m."""
+    part, g = 1, math.gcd(n, m)
+    while g > 1:
+        part *= g
+        n //= g
+        g = math.gcd(n, g)
+    return part
 
 
 def _valuation(n: int, q: int) -> int:

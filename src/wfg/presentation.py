@@ -12,12 +12,15 @@ words stored as syllables (generator index, nonzero exponent):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+# Called as module.function, so that a wrapper set on that module (as
+# bench/spans.py sets them) sees every call, whenever this module loaded.
+from . import exact
 from .complexes import WeightedComplex
 from .errors import MissingTree
-from .exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix
+from .exact import AbelianGroup, IntegerMatrix
+from .record import Record
 
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
@@ -54,8 +57,7 @@ def word_text(word: Word, generators: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
@@ -114,7 +116,7 @@ def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
 
 def abelianized_group(p: Presentation) -> AbelianGroup:
     """Abelianization of the presented group, by Smith normal form."""
-    return abelian_group_from_matrix(abelianized_relation_matrix(p))
+    return exact.abelian_group_from_matrix(abelianized_relation_matrix(p))
 
 
 def presentation_to_json(p: Presentation) -> dict:

@@ -21,67 +21,46 @@ order-preservingly into L's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .complexes import (
-    ValidationReport,
-    WeightedComplex,
-    _embedding,
-    complex_from_json,
-    is_weighted_subcomplex,
-    validate,
-)
+# Called as module.function, so that a wrapper set on that module (as
+# bench/spans.py sets them) sees every call, whenever this module loaded.
+from . import complexes, invariants, presentation
+from .complexes import ValidationReport, WeightedComplex, _embedding, is_weighted_subcomplex
 from .errors import HypothesesFailed, SchemaError
 from .exact import AbelianGroup
-from .invariants import (
-    CyclicFactorization,
-    classify,
-    normalize_factorization,
-    satisfies_exactly_two,
-    triangle_faces,
-)
-from .presentation import (
-    Presentation,
-    Word,
-    _relators,
-    abelianized_group,
-    generator_label,
-    present,
-)
+from .invariants import CyclicFactorization, normalize_factorization, triangle_faces
+from .presentation import Presentation, Word, _relators, generator_label
+from .record import Record
 
 LabelEdge = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     L: WeightedComplex
     K1: WeightedComplex
     K2: WeightedComplex
     K0: WeightedComplex
 
 
-@dataclass(frozen=True)
-class VanKampenReport:
+class VanKampenReport(Record):
     """The fields after the tree equalities are None when the hypotheses
     fail; ``factorizations`` is also None when L fails exactly-two."""
 
     hypothesis_report: ValidationReport
     tree_union_ok: bool
     tree_intersection_ok: bool
-    amalgamated: Optional[Presentation] = None
-    direct: Optional[Presentation] = None
-    abelianization_amalgamated: Optional[AbelianGroup] = None
-    abelianization_direct: Optional[AbelianGroup] = None
-    factorizations: Optional[tuple[CyclicFactorization, CyclicFactorization]] = None
-    generator_classes: Optional[dict[str, tuple[LabelEdge, ...]]] = None
+    amalgamated: Presentation | None = None
+    direct: Presentation | None = None
+    abelianization_amalgamated: AbelianGroup | None = None
+    abelianization_direct: AbelianGroup | None = None
+    factorizations: tuple[CyclicFactorization, CyclicFactorization] | None = None
+    generator_classes: dict[str, tuple[LabelEdge, ...]] | None = None
 
     @property
     def hypotheses_ok(self) -> bool:
         return self.hypothesis_report.ok
 
     @property
-    def abelianizations_equal(self) -> Optional[bool]:
+    def abelianizations_equal(self) -> bool | None:
         if self.abelianization_direct is None:
             return None
         return self.abelianization_amalgamated == self.abelianization_direct
@@ -103,7 +82,7 @@ def _hypotheses(spec: CoverSpec) -> tuple[ValidationReport, bool, bool]:
     v: list[tuple[str, str]] = []
     members_ok = True
     for name, K in (("L", spec.L), ("K1", spec.K1), ("K2", spec.K2), ("K0", spec.K0)):
-        for rule, msg in validate(K).violations:
+        for rule, msg in complexes.validate(K).violations:
             members_ok = False
             v.append((f"{name}-{rule}", f"{name}: {msg}"))
         if K.tree is None:
@@ -223,10 +202,10 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
     mapped = _mapped(spec)
     classes = _generator_classes(mapped)
     amalgamated = _amalgamate(spec.L, mapped)
-    direct = present(spec.L)
+    direct = presentation.present(spec.L)
     factorizations = None
-    if satisfies_exactly_two(spec.L):
-        factorizations = (classify(spec.L), _cover_factorization(spec.L, classes))
+    if invariants.satisfies_exactly_two(spec.L):
+        factorizations = (invariants.classify(spec.L), _cover_factorization(spec.L, classes))
 
     label_classes = {
         name: tuple(spec.L.edge_labels(e) for e in edges)
@@ -238,8 +217,8 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
         tree_intersection_ok=intersection_ok,
         amalgamated=amalgamated,
         direct=direct,
-        abelianization_amalgamated=abelianized_group(amalgamated),
-        abelianization_direct=abelianized_group(direct),
+        abelianization_amalgamated=presentation.abelianized_group(amalgamated),
+        abelianization_direct=presentation.abelianized_group(direct),
         factorizations=factorizations,
         generator_classes=label_classes,
     )
@@ -253,7 +232,7 @@ def cover_from_json(doc) -> CoverSpec:
         if key not in doc:
             raise SchemaError(f'missing key "{key}"')
         try:
-            parts[key] = complex_from_json(doc[key])
+            parts[key] = complexes.complex_from_json(doc[key])
         except SchemaError as err:
             raise SchemaError(f"{key}: {err}") from err
     return CoverSpec(**parts)

@@ -8,7 +8,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +34,8 @@ from wfg import (
 )
 from wfg.complexes import UnionFind
 from wfg.errors import ConditionFailed, ShapeMismatch
+from wfg.invariants import _coprime_base, _valuation
+from wfg.record import replace
 from wfg.vankampen import CoverSpec
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
@@ -353,6 +355,25 @@ def h0_presentation(K: WeightedComplex) -> Presentation:
     return Presentation(K.vertices, [((a, -w), (b, w)) for a, b, w in K.edges])
 
 
+def full_base_h0(n_vertices: int, edges) -> AbelianGroup:
+    """``invariants._weighted_h0`` with the coprime base of every |w|,
+    skipping each base element that shares no prime with the product of
+    a least-weight spanning forest; quadratic in the distinct weights."""
+    forest = UnionFind(n_vertices)
+    product = math.prod(abs(w) for a, b, w in sorted(edges, key=lambda e: abs(e[2]))
+                        if forest.union(a, b))
+    orders = [0] * forest.components
+    for q in _coprime_base({abs(w) for *_, w in edges}):
+        if math.gcd(product, q) == 1:
+            continue
+        greedy = UnionFind(n_vertices)
+        greedy.union_all((a, b) for a, b, w in edges if w % q)
+        for c, a, b in sorted((_valuation(w, q), a, b) for a, b, w in edges if not w % q):
+            if greedy.union(a, b):
+                orders.append(q ** c)
+    return AbelianGroup.from_cyclic_orders(orders)
+
+
 def dense_homology(K: WeightedComplex) -> WeightedHomology:
     """Weighted homology of a graph read off the dense Smith form of its
     vertices x edges boundary matrix."""
@@ -551,17 +572,25 @@ HOMOLOGY_WEIGHTS = st.one_of(
     st.sampled_from((4, 6, 8, 9, 12, 18, 36)),
 )
 
+# |w| whose primes the least-weight forest may or may not share: small
+# numbers, prime powers and products of 2, 3 and 5, and numbers to 2^64.
+COPRIME_BASE_WEIGHTS = st.one_of(
+    st.integers(1, 12),
+    st.integers(2, 10 ** 6),
+    st.sampled_from((2, 3, 4, 6, 8, 9, 12, 18, 25, 36)),
+    st.integers(2, 2 ** 64),
+)
+
 
 @st.composite
-def homology_graphs(draw, max_vertices=9):
+def homology_graphs(draw, max_vertices=9, weights=HOMOLOGY_WEIGHTS):
     """Graphs on one to max_vertices vertices, any edge set (so possibly
-    disconnected), with nonzero weights of either sign from
-    HOMOLOGY_WEIGHTS."""
+    disconnected), with nonzero weights of either sign from ``weights``."""
     n = draw(st.integers(1, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     keys = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
     return WeightedComplex(tuple(f"v{i}" for i in range(n)), tuple(
-        (a, b, draw(st.sampled_from((1, -1))) * draw(HOMOLOGY_WEIGHTS)) for a, b in keys))
+        (a, b, draw(st.sampled_from((1, -1))) * draw(weights)) for a, b in keys))
 
 
 def raw_document(vertices, edges, triangles=(), tree=None) -> dict:

@@ -45,6 +45,12 @@ class TestParseInput:
         with pytest.raises(ParseError):
             parse_input(fig("no-such-figure.json"))
 
+    def test_unreadable_path_is_quoted_as_given(self, capsys):
+        code, out, err = run(capsys, "validate", "./no-such-figure.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read ./no-such-figure.json: ")
+        assert err.endswith(": './no-such-figure.json'\n")
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

@@ -13,7 +13,7 @@ from wfg.errors import (
     NonPositive,
     ZeroWeightEdge,
 )
-from wfg import exact, presentation
+from wfg import exact, invariants
 from wfg.analysis import Filtration, analyze_filtration
 from wfg.exact import AbelianGroup, IntegerMatrix
 from wfg.presentation import abelianized_group, abelianized_relation_matrix, present
@@ -30,6 +30,7 @@ from wfg.invariants import (
 )
 
 from helpers import (
+    COPRIME_BASE_WEIGHTS,
     big_weight_grid,
     check_all_pm1_reduction,
     check_equal_weight_tree_independence,
@@ -41,6 +42,7 @@ from helpers import (
     complexes_with_trees,
     dense_abelian_group,
     dense_homology,
+    full_base_h0,
     grid_skeleton,
     h0_presentation,
     homology_graphs,
@@ -332,8 +334,7 @@ class TestSparseKernelOnGrids:
         def refuse(A):
             raise AssertionError("invariant-factor kernel or dense Smith form called")
 
-        for module in (exact, presentation):
-            monkeypatch.setattr(module, "abelian_group_from_matrix", refuse)
+        monkeypatch.setattr(exact, "abelian_group_from_matrix", refuse)
         monkeypatch.setattr(exact, "smith_normal_form", refuse)
         assert weighted_homology_graph(K) == expected
 
@@ -348,6 +349,17 @@ class TestClosedFormH0:
         homology = weighted_homology_graph(K)
         assert homology.h0 == abelianized_group(h0_presentation(K))
         assert homology == dense_homology(K)
+
+    @settings(max_examples=300)
+    @given(homology_graphs(weights=COPRIME_BASE_WEIGHTS))
+    def test_base_of_forest_primes_matches_full_base(self, K):
+        n = len(K.vertices)
+        assert invariants._weighted_h0(n, K.edges) == full_base_h0(n, K.edges)
+
+    def test_shared_part(self):
+        assert invariants._shared_part(2 ** 5 * 3 * 7 ** 2, 6) == 2 ** 5 * 3
+        assert invariants._shared_part(35, 6) == 1
+        assert invariants._shared_part(12, 1) == 1
 
     def test_shared_factors(self):
         # A triangle with weights 4, 6, 9: d1 = gcd = 1, d1*d2 = gcd of the

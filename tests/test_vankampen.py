@@ -1,14 +1,14 @@
 import random
-from dataclasses import replace
 
 import pytest
 
-import wfg.vankampen
+import wfg.complexes
 from wfg.complexes import WeightedComplex, complex_from_json, ensure_tree
 from wfg.errors import HypothesesFailed, SchemaError
 from wfg.exact import AbelianGroup, IntegerMatrix, abelian_group_from_matrix
 from wfg.invariants import classify
 from wfg.presentation import abelianized_group
+from wfg.record import replace
 from wfg.vankampen import (
     CoverSpec,
     amalgamated_presentation,
@@ -194,8 +194,8 @@ class TestVerifyAgainstPublicFunctions:
             calls.append(K)
             return validate(K)
 
-        validate = wfg.vankampen.validate
-        monkeypatch.setattr(wfg.vankampen, "validate", counting)
+        validate = wfg.complexes.validate
+        monkeypatch.setattr(wfg.complexes, "validate", counting)
         verify_van_kampen(COVER)
         assert len(calls) == 4
 
