@@ -48,7 +48,8 @@ def parse_input(path: str):
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:
+        # UnicodeDecodeError is a ValueError, as is open's "embedded null byte".
         raise ParseError(f"cannot read {path}: {err}") from err
     try:
         doc = json.loads(text)

@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import compress
 
+from .complexes import UnionFind
 from .errors import NonPositive, ShapeMismatch
 from .record import Record
 
@@ -346,6 +347,94 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
                 current.pop(i, None)
     torsion = [d for d in orders if d != 1]
     return AbelianGroup.from_cyclic_orders([0] * (n - len(orders)) + torsion)
+
+
+def forest_torsion(nodes: int, edges, orders=()) -> tuple[int, tuple[int, ...]]:
+    """The rank and the invariant factors (ascending, each > 1) of the
+    relations o*e_o for each order o > 0 in ``orders`` and w*(e_b - e_a)
+    for each edge (a, b, w), w > 0, of a graph on ``nodes`` nodes (rows of
+    a node may be left out: the columns' matroid stays the graph's).  The
+    rank counts the edges alone.
+
+    The incidence matrix is totally unimodular, so d_1...d_k is the gcd,
+    over k-sets of the orders and a forest's edges, of the product of
+    their weights.  For a prime p the greedy (Kruskal) forest in ascending
+    p-valuation reaches the least valuation for every k at once (the
+    matroid greedy property; the orders are in every basis), so the
+    p-parts of the factors are p to the valuations it accepts.  The
+    elements q of a coprime base of the weights stand in for the primes.
+    A prime that divides no weight of one basis adds nothing, since the
+    edges it does not divide already span, so the base is built only from
+    the part of each weight made of that basis's primes."""
+    forest = UnionFind(nodes)
+    # Least weights first, so that the product has few primes.
+    edges = sorted(edges, key=lambda e: e[2])
+    spans = [forest.union(a, b) for a, b, _ in edges]
+    product = math.prod(orders) * math.prod(e[2] for e, s in zip(edges, spans) if s)
+    # The forest first: the greedy below stops once it spans.
+    edges = [e for e, s in zip(edges, spans) if s] + [e for e, s in zip(edges, spans) if not s]
+    factors: list[int] = []  # largest first
+    weights = {w for *_, w in edges}
+    for q in _coprime_base({_shared_part(w, product) for w in weights}.union(orders)):
+        found = [_valuation(o, q) for o in orders if not o % q]
+        greedy = UnionFind(nodes)
+        for i in range(0, len(edges), 256):
+            if greedy.components == forest.components:
+                break
+            greedy.union_all((a, b) for a, b, w in edges[i:i + 256] if w % q)
+        if greedy.components > forest.components:
+            found += [c for c, a, b in sorted((_valuation(w, q), a, b)
+                                              for a, b, w in edges if not w % q)
+                      if greedy.union(a, b)]
+        found.sort(reverse=True)
+        factors += [1] * (len(found) - len(factors))
+        for i, c in enumerate(found):
+            factors[i] *= q ** c
+    return nodes - forest.components, tuple(reversed(factors))
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime numbers > 1 whose powers make up each of the given
+    positive numbers, by splitting on common factors: a and b with
+    g = gcd(a, b) > 1 are replaced by g, a/g and b/g (Bernstein,
+    "Factoring into coprimes in essentially linear time", 2005, in its
+    simple quadratic form)."""
+    base: list[int] = []
+    for n in numbers:
+        pending = [n]
+        while pending:
+            a = pending.pop()
+            if a == 1:
+                continue
+            for i, b in enumerate(base):
+                g = math.gcd(a, b)
+                if g > 1:
+                    base[i] = base[-1]
+                    base.pop()
+                    pending += (g, a // g, b // g)
+                    break
+            else:
+                base.append(a)
+    return base
+
+
+def _shared_part(n: int, m: int) -> int:
+    """The largest divisor of n whose primes all divide m."""
+    part, g = 1, math.gcd(n, m)
+    while g > 1:
+        part *= g
+        n //= g
+        g = math.gcd(n, g)
+    return part
+
+
+def _valuation(n: int, q: int) -> int:
+    """The largest c with q^c dividing n (n nonzero, q > 1)."""
+    c = 0
+    while not n % q:
+        n //= q
+        c += 1
+    return c
 
 
 def mobius(n: int) -> int:

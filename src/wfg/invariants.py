@@ -9,14 +9,13 @@ necklace count.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from operator import index
 
 # Called as module.function, so that a wrapper set on that module (as
 # bench/spans.py sets them) sees every call, whenever this module loaded.
-from . import presentation
-from .complexes import UnionFind, WeightedComplex
+from . import exact, presentation
+from .complexes import WeightedComplex
 from .errors import (
     ConditionFailed,
     HasTriangles,
@@ -159,84 +158,11 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
     zero = next((e for e in complex.edges if e[2] == 0), None)
     if zero is not None:
         raise ZeroWeightEdge(f"edge ({zero[0]},{zero[1]}) has weight 0")
-    h0 = _weighted_h0(len(complex.vertices), complex.edges)
-    # The boundary and its transpose share one Smith diagonal, so the rank
-    # that H1 needs is read off the cokernel H0: rank = n_v - free rank.
-    h1 = AbelianGroup(len(complex.edges) - (len(complex.vertices) - h0.free_rank))
-    return WeightedHomology(h0=h0, h1=h1)
-
-
-def _weighted_h0(n_vertices: int, edges) -> AbelianGroup:
-    """Z^n_vertices modulo w(ab)([b] - [a]) for each edge, in closed form.
-
-    The signed incidence matrix is totally unimodular, so d_1...d_k is the
-    gcd over k-edge forests of the product of their |w|.  For a prime p
-    the greedy (Kruskal) forest in ascending p-valuation reaches the least
-    valuation for every k at once (the matroid greedy property), so
-    v_p(d_k) is the valuation of the k-th edge it accepts.  The elements q
-    of a coprime base of the |w| stand in for the primes (a prime divides
-    one q, and its valuations follow that q's), and the parts q^c
-    recombine into invariant factors.  A prime that divides no weight of
-    one spanning forest adds nothing: the edges it does not divide already
-    span.  So the base is built only from the part of each |w| made of
-    primes of one forest's product, which keeps it small.  The free rank
-    is the number of components."""
-    forest = UnionFind(n_vertices)
-    # Least weights first, so that the product has few primes.
-    product = math.prod(abs(w) for a, b, w in sorted(edges, key=lambda e: abs(e[2]))
-                        if forest.union(a, b))
-    orders = [0] * forest.components
-    for q in _coprime_base({_shared_part(abs(w), product) for *_, w in edges}):
-        greedy = UnionFind(n_vertices)
-        greedy.union_all((a, b) for a, b, w in edges if w % q)
-        for c, a, b in sorted((_valuation(w, q), a, b) for a, b, w in edges if not w % q):
-            if greedy.union(a, b):
-                orders.append(q ** c)
-    return AbelianGroup.from_cyclic_orders(orders)
-
-
-def _coprime_base(numbers) -> list[int]:
-    """Pairwise coprime numbers > 1 whose powers make up each of the given
-    positive numbers, by splitting on common factors: a and b with
-    g = gcd(a, b) > 1 are replaced by g, a/g and b/g (Bernstein,
-    "Factoring into coprimes in essentially linear time", 2005, in its
-    simple quadratic form)."""
-    base: list[int] = []
-    for n in numbers:
-        pending = [n]
-        while pending:
-            a = pending.pop()
-            if a == 1:
-                continue
-            for i, b in enumerate(base):
-                g = math.gcd(a, b)
-                if g > 1:
-                    base[i] = base[-1]
-                    base.pop()
-                    pending += (g, a // g, b // g)
-                    break
-            else:
-                base.append(a)
-    return base
-
-
-def _shared_part(n: int, m: int) -> int:
-    """The largest divisor of n whose primes all divide m."""
-    part, g = 1, math.gcd(n, m)
-    while g > 1:
-        part *= g
-        n //= g
-        g = math.gcd(n, g)
-    return part
-
-
-def _valuation(n: int, q: int) -> int:
-    """The largest c with q^c dividing n (n nonzero, q > 1)."""
-    c = 0
-    while not n % q:
-        n //= q
-        c += 1
-    return c
+    # One greedy gives H0 and the boundary's rank; H1, its kernel, is free.
+    n = len(complex.vertices)
+    rank, torsion = exact.forest_torsion(n, [(a, b, abs(w)) for a, b, w in complex.edges])
+    return WeightedHomology(h0=AbelianGroup(n - rank, torsion),
+                            h1=AbelianGroup(len(complex.edges) - rank))
 
 
 def _divisors(n: int) -> list[int]:

@@ -115,8 +115,104 @@ def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
 
 
 def abelianized_group(p: Presentation) -> AbelianGroup:
-    """Abelianization of the presented group, by Smith normal form."""
-    return exact.abelian_group_from_matrix(abelianized_relation_matrix(p))
+    """Abelianization of the presented group: in closed form when the
+    relation matrix is certified (``_certified_group``), otherwise by the
+    invariant-factor kernel."""
+    group = _certified_group(p)
+    if group is None:
+        group = exact.abelian_group_from_matrix(abelianized_relation_matrix(p))
+    return group
+
+
+class _SignedForest:
+    """Union-find over elements x = +-root: ``join(x, y, s)`` records
+    x = s*y, and is False when x and y are already joined with the other
+    sign."""
+
+    def __init__(self, n: int):
+        self.parent, self.sign = list(range(n)), [1] * n
+
+    def find(self, x: int) -> tuple[int, int]:
+        """(root, s) with x = s*root; the path is compressed."""
+        parent, sign = self.parent, self.sign
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        s = 1
+        for y in reversed(path):
+            s = sign[y] = s * sign[y]
+            parent[y] = x
+        return x, s
+
+    def join(self, x: int, y: int, s: int) -> bool:
+        (rx, sx), (ry, sy) = self.find(x), self.find(y)
+        if rx == ry:
+            return sx == s * sy
+        self.parent[rx], self.sign[rx] = ry, s * sx * sy
+        return True
+
+
+def _certified_group(p: Presentation) -> AbelianGroup | None:
+    """The abelianization in closed form, or None when the relation matrix
+    is not certified as U*diag(|w|) with U totally unimodular.
+
+    A relator g^e h^f with e, f = +-1 says g = -ef*h, so the pair is merged
+    (a wrong-signed cycle says 2g = 0: not certified).  Over the merged
+    columns every nonzero of column c must be +-|w_c|.  A row +-|w_c| e_c
+    splits off Z/|w_c|, and row operations clear the rest of column c.  The
+    rows left, less repeats up to sign, are certified when each column has
+    at most two nonzeros and the rows can be 2-coloured so that rows
+    sharing a column differ in colour when the signs agree and match when
+    they differ (Heller & Tompkins, 1956).  Negating one colour then leaves
+    the incidence matrix of a graph on the rows and a ground node, less the
+    ground row: a column is an edge between its two rows, or from its one
+    row to the ground.  ``exact.forest_torsion`` reads off that graph."""
+    n = len(p.generators)
+    merged, others = _SignedForest(n), []
+    for word in p.relators:
+        if len(word) == 2 and word[0][1] in (1, -1) and word[1][1] in (1, -1):
+            (g, e), (h, f) = word
+            if not merged.join(g, h, -e * f):
+                return None
+        else:
+            others.append(word)
+    where = [merged.find(g) for g in range(n)]
+    width: dict[int, int] = {}  # |w_c| of each merged column c
+    rows = []  # the nonzero (column, entry) pairs of each row, by column
+    for word in others:
+        sums: dict[int, int] = {}
+        for g, e in word:
+            c, s = where[g]
+            sums[c] = sums.get(c, 0) + s * e
+        row = [(c, x) for c, x in sorted(sums.items()) if x]
+        for c, x in row:
+            if width.setdefault(c, abs(x)) != abs(x):
+                return None
+        rows.append(row)
+
+    split = {row[0][0] for row in rows if len(row) == 1}
+    kept: dict[tuple, None] = {}  # the rows left, sign-normalized, in order
+    for row in rows:
+        items = tuple(pair for pair in row if pair[0] not in split)
+        if items:
+            kept.setdefault(items if items[0][1] > 0 else tuple((c, -x) for c, x in items))
+    ends: dict[int, list[tuple[int, int]]] = {}  # column -> (row, entry) pairs
+    for i, items in enumerate(kept):
+        for c, x in items:
+            ends.setdefault(c, []).append((i, x))
+    ground = len(kept)
+    colours, edges = _SignedForest(ground), []
+    for c, pairs in ends.items():
+        if len(pairs) > 2:
+            return None
+        (i, x), (j, y) = pairs if len(pairs) == 2 else (pairs[0], (ground, 0))
+        if y and not colours.join(i, j, -1 if (x > 0) == (y > 0) else 1):
+            return None
+        edges.append((i, j, width[c]))
+    rank, torsion = exact.forest_torsion(ground + 1, edges, [width[c] for c in split])
+    columns = sum(c == g for g, (c, _) in enumerate(where))
+    return AbelianGroup(columns - len(split) - rank, torsion)
 
 
 def presentation_to_json(p: Presentation) -> dict:

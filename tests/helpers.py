@@ -34,7 +34,7 @@ from wfg import (
 )
 from wfg.complexes import UnionFind
 from wfg.errors import ConditionFailed, ShapeMismatch
-from wfg.invariants import _coprime_base, _valuation
+from wfg.exact import _coprime_base, _valuation
 from wfg.record import replace
 from wfg.vankampen import CoverSpec
 
@@ -356,9 +356,12 @@ def h0_presentation(K: WeightedComplex) -> Presentation:
 
 
 def full_base_h0(n_vertices: int, edges) -> AbelianGroup:
-    """``invariants._weighted_h0`` with the coprime base of every |w|,
-    skipping each base element that shares no prime with the product of
-    a least-weight spanning forest; quadratic in the distinct weights."""
+    """H0 of a graph as ``exact.forest_torsion`` finds it, but from the
+    coprime base of every |w|, skipping each base element that shares no
+    prime with the product of a least-weight spanning forest, with full
+    Kruskal passes and the factors recombined by
+    ``AbelianGroup.from_cyclic_orders``; quadratic in the distinct
+    weights."""
     forest = UnionFind(n_vertices)
     product = math.prod(abs(w) for a, b, w in sorted(edges, key=lambda e: abs(e[2]))
                         if forest.union(a, b))
@@ -969,16 +972,22 @@ def _grid(k: int, weight):
     return labels, edges, triangles
 
 
-def _triangulated_grid(k: int, weight) -> WeightedComplex:
-    labels, edges, triangles = _grid(k, weight)
-    K = WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()),
+def _with_bfs_tree(labels, edges: dict, triangles) -> WeightedComplex:
+    """The complex on ``labels`` with the {(a, b): w} ``edges`` and the
+    ``triangles``, with its breadth-first tree."""
+    K = WeightedComplex(tuple(labels), tuple((a, b, w) for (a, b), w in edges.items()),
                         tuple(triangles))
     return K.with_tree(compute_maximal_tree(K, "bfs"))
 
 
-def triangulated_grid(rng, k: int) -> WeightedComplex:
-    """The triangulated k x k grid, weights in [-5, 5], breadth-first tree."""
-    return _triangulated_grid(k, lambda: rng.randint(-5, 5))
+def _triangulated_grid(k: int, weight) -> WeightedComplex:
+    return _with_bfs_tree(*_grid(k, weight))
+
+
+def triangulated_grid(rng, k: int, high=5) -> WeightedComplex:
+    """The triangulated k x k grid, weights in [-high, high], breadth-first
+    tree."""
+    return _triangulated_grid(k, lambda: rng.randint(-high, high))
 
 
 def big_weight_grid(rng, k: int) -> WeightedComplex:
@@ -995,11 +1004,12 @@ def grid_skeleton(rng, k: int) -> WeightedComplex:
     return WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()))
 
 
-def split_grid_cover(rng, k: int) -> CoverSpec:
-    """The triangulated grid (k even) cut into two halves sharing the middle
-    column.  K0 is the middle column path with the path as its tree; each
-    side's tree adds that side's horizontal edges to K0's tree."""
-    labels, weights, triangles = _grid(k, lambda: rng.randint(-5, 5))
+def split_grid_cover(rng, k: int, span=(-5, 5)) -> CoverSpec:
+    """The triangulated grid (k even), weights in the closed range ``span``,
+    cut into two halves sharing the middle column.  K0 is the middle column
+    path with the path as its tree; each side's tree adds that side's
+    horizontal edges to K0's tree."""
+    labels, weights, triangles = _grid(k, lambda: rng.randint(*span))
     side, mid = k + 1, k // 2
 
     def piece(keep):
@@ -1014,6 +1024,49 @@ def split_grid_cover(rng, k: int) -> CoverSpec:
 
     return CoverSpec(L=piece(lambda c: True), K1=piece(lambda c: c <= mid),
                      K2=piece(lambda c: c >= mid), K0=piece(lambda c: c == mid))
+
+
+def mobius_grid(rng, k: int) -> WeightedComplex:
+    """The triangulated k x k grid (k >= 3) with its last column glued,
+    flipped, to its first: a Moebius band, weights in 2..9, breadth-first
+    tree.  Every edge lies in at most two triangles, which cannot be
+    oriented coherently."""
+    labels, weights, triangles = _grid(k, lambda: rng.randint(2, 9))
+    side = k + 1
+    glue = {r * side + k: (k - r) * side for r in range(side)}
+    kept = [v for v in range(side * side) if v not in glue]
+    index = {v: i for i, v in enumerate(kept)}
+    index.update((v, index[u]) for v, u in glue.items())
+    edges: dict[tuple[int, int], int] = {}
+    for (a, b), w in weights.items():
+        edges.setdefault(tuple(sorted((index[a], index[b]))), w)
+    return _with_bfs_tree([labels[v] for v in kept], edges,
+                          [sorted(index[v] for v in t) for t in triangles])
+
+
+def coned_grid(rng, k: int) -> WeightedComplex:
+    """The triangulated k x k grid with an apex joined to every vertex and a
+    triangle over every grid edge, so each inner grid edge lies in three
+    triangles; weights in 2..9, breadth-first tree."""
+    labels, edges, triangles = _grid(k, lambda: rng.randint(2, 9))
+    apex = len(labels)
+    triangles += [(a, b, apex) for a, b in edges]
+    edges.update({(v, apex): rng.randint(2, 9) for v in range(apex)})
+    return _with_bfs_tree(labels + ("apex",), edges, triangles)
+
+
+# Prime powers and their products: the greedy order of valuations matters.
+HOLED_GRID_WEIGHTS = (2, 4, 8, 16, 3, 9, 27, 6, 12, 36)
+
+
+def holed_grid(rng, k: int) -> WeightedComplex:
+    """The triangulated k x k grid less two triangles, so that its first
+    Betti number is positive, weights from HOLED_GRID_WEIGHTS, breadth-first
+    tree."""
+    labels, edges, triangles = _grid(k, lambda: rng.choice(HOLED_GRID_WEIGHTS))
+    for _ in range(2):
+        triangles.remove(rng.choice(triangles))
+    return _with_bfs_tree(labels, edges, triangles)
 
 
 # ---------------------------------------------------------------------------

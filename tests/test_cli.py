@@ -45,6 +45,11 @@ class TestParseInput:
         with pytest.raises(ParseError):
             parse_input(fig("no-such-figure.json"))
 
+    def test_path_with_nul_byte(self):
+        # open raises ValueError, not OSError, for an embedded NUL.
+        with pytest.raises(ParseError, match=r"^cannot read a\x00b: embedded null byte$"):
+            parse_input("a\0b")
+
     def test_unreadable_path_is_quoted_as_given(self, capsys):
         code, out, err = run(capsys, "validate", "./no-such-figure.json")
         assert (code, out) == (1, "")

@@ -13,7 +13,7 @@ from wfg.errors import (
     NonPositive,
     ZeroWeightEdge,
 )
-from wfg import exact, invariants
+from wfg import exact
 from wfg.analysis import Filtration, analyze_filtration
 from wfg.exact import AbelianGroup, IntegerMatrix
 from wfg.presentation import abelianized_group, abelianized_relation_matrix, present
@@ -338,6 +338,24 @@ class TestSparseKernelOnGrids:
         monkeypatch.setattr(exact, "smith_normal_form", refuse)
         assert weighted_homology_graph(K) == expected
 
+    def test_certified_grids_run_no_kernel(self, monkeypatch):
+        rng = random.Random(0)
+        grids = [triangulated_grid(rng, 4), big_weight_grid(rng, 4)]
+        spec = split_grid_cover(rng, 4)
+        expected = [exact.abelian_group_from_matrix(abelianized_relation_matrix(present(K)))
+                    for K in grids]
+        glued = exact.abelian_group_from_matrix(
+            abelianized_relation_matrix(amalgamated_presentation(spec)))
+
+        def refuse(A):
+            raise AssertionError("invariant-factor kernel or dense Smith form called")
+
+        monkeypatch.setattr(exact, "abelian_group_from_matrix", refuse)
+        monkeypatch.setattr(exact, "smith_normal_form", refuse)
+        assert [abelianization(K) for K in grids] == expected
+        report = verify_van_kampen(spec)
+        assert report.abelianization_amalgamated == report.abelianization_direct == glued
+
 
 class TestClosedFormH0:
     """H0 from minimum spanning forests against the sparse kernel and the
@@ -353,13 +371,12 @@ class TestClosedFormH0:
     @settings(max_examples=300)
     @given(homology_graphs(weights=COPRIME_BASE_WEIGHTS))
     def test_base_of_forest_primes_matches_full_base(self, K):
-        n = len(K.vertices)
-        assert invariants._weighted_h0(n, K.edges) == full_base_h0(n, K.edges)
+        assert weighted_homology_graph(K).h0 == full_base_h0(len(K.vertices), K.edges)
 
     def test_shared_part(self):
-        assert invariants._shared_part(2 ** 5 * 3 * 7 ** 2, 6) == 2 ** 5 * 3
-        assert invariants._shared_part(35, 6) == 1
-        assert invariants._shared_part(12, 1) == 1
+        assert exact._shared_part(2 ** 5 * 3 * 7 ** 2, 6) == 2 ** 5 * 3
+        assert exact._shared_part(35, 6) == 1
+        assert exact._shared_part(12, 1) == 1
 
     def test_shared_factors(self):
         # A triangle with weights 4, 6, 9: d1 = gcd = 1, d1*d2 = gcd of the
