@@ -3,14 +3,16 @@
 Filtration tracking: classify each stage, diff consecutive factorizations
 as multisets, and label finite births/deaths with a user-supplied
 weight-to-region map.  Hamiltonian paths double as maximal trees (sorted
-tuples of edge keys, like a stored or built tree), so enumerating them and
-classifying the complex against each tree can tell different paths apart.
+tuples of edge keys, like a stored or built tree, or edge masks inside the
+``hamiltonian`` writer), so enumerating them and classifying the complex
+against each tree can tell different paths apart.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
+from operator import getitem
 
 # Called as module.function, so that a wrapper set on that module (as
 # bench/spans.py sets them) sees every call, whenever this module loaded.
@@ -120,31 +122,44 @@ def enumerate_hamiltonian_trees(complex: WeightedComplex) -> list[Tree]:
 
     A path and its reverse give the same tree; only the direction with
     path[0] <= path[-1] is reported.  Output is sorted lexicographically by
-    edge list.  The budget counts the partial paths a backtracking search
-    from every start would visit; a first pass over the states (visited
-    set, end vertex) sums them and raises TooLarge past
-    HAMILTONIAN_PATH_BUDGET before any tree is listed.  The second pass
-    walks only into states with a Hamiltonian completion that ends at a
-    vertex >= the start, so it meets no dead end and no reversed path.
-    """
+    edge list.  Limits and errors are those of ``_hamiltonian_masks``."""
+    edges = _mask_parts([(key,) for key in complex.edge_keys], ())
+    return [sum(edges(mask), ()) for mask in _hamiltonian_masks(complex)]
+
+
+def _hamiltonian_masks(complex: WeightedComplex) -> list[int]:
+    """The Hamiltonian trees as edge masks, bit E-1-j for edge j of
+    ``edge_keys``, in descending order.  For two edge sets of one size the
+    lexicographic order of their sorted keys is decided by the least edge
+    in their symmetric difference, the highest bit where the masks differ,
+    so descending masks are ascending edge lists.
+
+    The budget counts the partial paths a backtracking search from every
+    start would visit; a first pass over the states (visited set, end
+    vertex) sums them and raises TooLarge past HAMILTONIAN_PATH_BUDGET
+    before any tree is listed.  The second pass walks only into states with
+    a Hamiltonian completion that ends at a vertex >= the start, so it
+    meets no dead end and no reversed path."""
     if complex.triangles:
         raise NotAGraph("Hamiltonian enumeration expects a graph")
     n = len(complex.vertices)
     if n > HAMILTONIAN_VERTEX_LIMIT:
         raise TooLarge(f"{n} vertices exceeds the limit of {HAMILTONIAN_VERTEX_LIMIT}")
     full = (1 << n) - 1
-    # (neighbour, its bit, the edge key to it) for each vertex.
-    steps = [tuple((u, 1 << u, (min(u, v), max(u, v))) for u in complex.adjacency[v])
+    ebit = {key: 1 << j for j, key in enumerate(reversed(complex.edge_keys))}
+    # (neighbour, its bit, the bit of the edge to it) for each vertex.
+    steps = [tuple((u, 1 << u, ebit[min(u, v), max(u, v)]) for u in complex.adjacency[v])
              for v in range(n)]
     memo: dict[int, tuple[int, int]] = {}
     if sum(_scan(v, 1 << v, steps, full, memo)[0] for v in range(n)) > HAMILTONIAN_PATH_BUDGET:
         raise TooLarge(f"Hamiltonian enumeration stopped at {HAMILTONIAN_PATH_BUDGET + 1} "
                        f"partial paths, past the budget of {HAMILTONIAN_PATH_BUDGET}")
-    found: list[Tree] = []
+    found: list[int] = []
     for start in range(n):
         if memo[1 << start << 4 | start][1] >= start:
-            _walk(start, 1 << start, start, steps, full, memo, [], found)
-    return sorted(found)
+            _walk(start, 1 << start, start, steps, full, memo, 0, found)
+    found.sort(reverse=True)
+    return found
 
 
 # The search state (visited set, end vertex) as one memo key; the end
@@ -169,17 +184,79 @@ def _scan(v: int, visited: int, steps, full: int, memo) -> tuple[int, int]:
     return known
 
 
-def _walk(v: int, visited: int, start: int, steps, full: int, memo, path, found):
-    """Append each Hamiltonian path from this state that ends at a vertex
-    >= start, as its sorted edge keys; ``path`` holds the edges so far."""
+def _walk(v: int, visited: int, start: int, steps, full: int, memo, mask: int, found):
+    """Append the edge mask of each Hamiltonian path from this state that
+    ends at a vertex >= start; ``mask`` holds the edges so far."""
     if visited == full:
-        found.append(tuple(sorted(path)))
+        found.append(mask)
         return
-    for u, bit, key in steps[v]:
+    for u, bit, ebit in steps[v]:
         if not visited & bit and memo[(visited | bit) << 4 | u][1] >= start:
-            path.append(key)
-            _walk(u, visited | bit, start, steps, full, memo, path, found)
-            path.pop()
+            _walk(u, visited | bit, start, steps, full, memo, mask | ebit, found)
+
+
+def _mask_parts(items, empty):
+    """A function from a mask over the list ``items`` (bit E-1-j for item
+    j) to the sums of its items byte by byte, in item order: adding those
+    up (or joining them) gives the sum of the mask's items.  One table per
+    byte of the mask holds every sum of that byte's k items, ``empty`` for
+    none, at 2^k entries, so a mask costs one lookup per 8 items."""
+    tables = []
+    for end in range(len(items), 0, -8):  # the low byte first
+        table = [empty]
+        for item in reversed(items[max(0, end - 8):end]):  # its bit 0 first
+            table += [item + rest for rest in table]
+        tables.insert(0, table)
+    size = len(tables)
+    return lambda mask: map(getitem, tables, mask.to_bytes(size, "big"))
+
+
+def write_hamiltonian_report(complex: WeightedComplex, as_json: bool, write):
+    """Write the ``hamiltonian`` report: every Hamiltonian tree and its
+    ``classify`` invariant, then whether the invariants differ.
+
+    In a graph a tree's invariant has E-n+1 factors Z, one more Z for each
+    tree edge of weight 0 and Z/|w| for each tree edge with |w| >= 2,
+    ascending; the exactly-two condition holds vacuously, so no tree falls
+    back to the abelianization.  A tree's mask is mapped to a mask over the
+    edges ranked by |w|, and both masks to text through ``_mask_parts``.
+    ``--json`` is laid out exactly as ``json.dump(payload, indent=2)``
+    would; an invariant's text holds only letters, digits, "/", "*" and
+    spaces, so quoting it is its JSON encoding."""
+    masks = _hamiltonian_masks(complex)
+    keys = complex.edge_keys
+    ranked = sorted((abs(w), j) for j, (_, _, w) in enumerate(complex.edges) if abs(w) != 1)
+    rank_bit = {j: 1 << r for r, (_, j) in enumerate(reversed(ranked))}
+    ranks = _mask_parts([rank_bit.get(j, 0) for j in range(len(keys))], 0)
+    factors = _mask_parts([f" * Z/{m}" if m else " * Z" for m, _ in ranked], "")
+    head = " * Z" * (len(keys) - len(complex.vertices) + 1)
+    invariants = [(head + "".join(factors(sum(ranks(mask)))))[3:] or "1" for mask in masks]
+    distinguishable = len(set(invariants)) > 1
+    if as_json:
+        edges = _mask_parts([f",\n      [\n        {a},\n        {b}\n      ]"
+                             for a, b in keys], "")
+        write(f'{{\n  "count": {len(masks)},\n  "trees": ')
+        _write_json_array(write, (f"[{text[1:]}\n    ]" if text else "[]"
+                                  for text in map("".join, map(edges, masks))))
+        write(',\n  "invariants": ')
+        _write_json_array(write, (f'"{inv}"' for inv in invariants))
+        write(f',\n  "used_abelianization": false,'
+              f'\n  "distinguishable": {"true" if distinguishable else "false"}\n}}\n')
+        return
+    edges = _mask_parts([", {}-{}".format(*complex.edge_labels(key)) for key in keys], "")
+    write(f"{len(masks)} Hamiltonian tree(s)\n")
+    for text, inv in zip(map("".join, map(edges, masks)), invariants):
+        write(f"  [{text[2:]}] -> {inv}\n")
+    write(f"distinguishable: {distinguishable}\n")
+
+
+def _write_json_array(write, items):
+    """A top-level key's ``indent=2`` JSON array of encoded items, item by item."""
+    opener = "[\n    "
+    for item in items:
+        write(opener + item)
+        opener = ",\n    "
+    write("[]" if opener == "[\n    " else "\n  ]")
 
 
 class TreeDiscriminationReport(Record):

@@ -225,26 +225,10 @@ def _lcs_report(complex, args):
 
 
 def _hamiltonian_report(complex, args):
-    """``discriminate_trees`` on every Hamiltonian tree, as text.  The
-    enumerator builds the trees in a graph, where the exactly-two condition
-    holds vacuously, so the trees are not checked again and no tree falls
-    back to the abelianization."""
-    from .analysis import enumerate_hamiltonian_trees
-    from .invariants import _tree_factors, factorization_text
-    trees = enumerate_hamiltonian_trees(complex)
-    factors = _tree_factors(complex)
-    invariants = [factorization_text(*factors(t)) for t in trees]
-    distinguishable = len(set(invariants)) > 1
-    write = sys.stdout.write
-    if args.as_json:
-        _write_hamiltonian_json(write, complex.edge_keys, trees, invariants,
-                                distinguishable)
-        return None
-    label = {e: "{}-{}".format(*complex.edge_labels(e)) for e in complex.edge_keys}
-    write(f"{len(trees)} Hamiltonian tree(s)\n")
-    for tree, inv in zip(trees, invariants):
-        write(f"  [{', '.join([label[e] for e in tree])}] -> {inv}\n")
-    write(f"distinguishable: {distinguishable}\n")
+    """Every Hamiltonian tree with its invariant, streamed by the writer
+    beside the enumerator."""
+    from .analysis import write_hamiltonian_report
+    write_hamiltonian_report(complex, args.as_json, sys.stdout.write)
     return None
 
 
@@ -273,38 +257,6 @@ def _check_max_n(max_n: int):
     if max_n > MAX_N_LIMIT:
         raise TooLarge(f"--max-n {max_n} is past the limit of {MAX_N_LIMIT}; "
                        "lower --max-n")
-
-
-def _write_hamiltonian_json(write, edge_keys, trees, invariants, distinguishable):
-    """Stream the ``hamiltonian --json`` report exactly as
-    ``json.dump(payload, indent=2)`` lays it out, without the standard
-    library's pure-Python indent encoder (about half of each op on K8):
-    the shape is fixed, so each edge's fragment is built once and each
-    tree is one join.  An invariant's text holds only letters, digits,
-    "/", "*" and spaces, so quoting it is its JSON encoding."""
-    edge = {e: _json_array(map(str, e), 3) for e in edge_keys}
-    write(f'{{\n  "count": {len(trees)},\n  "trees": ')
-    _write_json_array(write, (_json_array([edge[e] for e in t], 2) for t in trees))
-    write(',\n  "invariants": ')
-    _write_json_array(write, (f'"{inv}"' for inv in invariants))
-    write(f',\n  "used_abelianization": false,'
-          f'\n  "distinguishable": {json.dumps(distinguishable)}\n}}\n')
-
-
-def _json_array(items, depth: int) -> str:
-    """An ``indent=2`` JSON array of encoded items, nested ``depth`` deep."""
-    pad = "\n" + "  " * (depth + 1)
-    body = ("," + pad).join(items)
-    return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
-
-
-def _write_json_array(write, items):
-    """``_json_array`` of a top-level key's value, written item by item."""
-    opener = "[\n    "
-    for item in items:
-        write(opener + item)
-        opener = ",\n    "
-    write("[]" if opener == "[\n    " else "\n  ]")
 
 
 def _vankampen_report(spec, args):

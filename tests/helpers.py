@@ -566,6 +566,35 @@ def weighted_graphs(draw, max_vertices=9):
                            tuple((a, b, draw(st.integers(-30, 30))) for a, b in keys))
 
 
+# |w| of zero and one, a few repeated small values and numbers to 2^64.
+HAMILTONIAN_WEIGHTS = st.one_of(
+    st.sampled_from((0, 1, -1, 2, -2, 6, -6)),
+    st.integers(-(2 ** 64), 2 ** 64),
+)
+
+
+def _hub_chords(n: int) -> list[tuple[int, int]]:
+    hubs = {n // 4, n // 2, 3 * n // 4}
+    return sorted({(min(h, v), max(h, v)) for h in hubs for v in range(n) if abs(h - v) > 1})
+
+
+@st.composite
+def hub_graphs(draw, edges: int):
+    """Graphs with exactly ``edges`` edges on one to 14 vertices: a path
+    through every vertex, so at least one Hamiltonian tree, plus chords at
+    three hubs spread along it, with the vertices relabelled at random.
+    Spread hubs keep even 43 edges on 14 vertices under 1.4 million partial
+    paths, where a band of chords or clustered hubs passes the budget."""
+    n = draw(st.sampled_from([n for n in range(1, 15)
+                              if n - 1 <= edges <= n - 1 + len(_hub_chords(n))]))
+    pairs = [(i, i + 1) for i in range(n - 1)] + draw(st.permutations(_hub_chords(n)))
+    label = draw(st.permutations(range(n)))
+    weights = draw(st.lists(HAMILTONIAN_WEIGHTS, min_size=edges, max_size=edges))
+    keys = sorted((min(label[a], label[b]), max(label[a], label[b])) for a, b in pairs[:edges])
+    return WeightedComplex(tuple(f"v{i}" for i in range(n)),
+                           tuple((a, b, w) for (a, b), w in zip(keys, weights)))
+
+
 # |w| for homology graphs: units, small and large numbers, numbers near
 # 2^64, and a set whose members share the factors 2 and 3.
 HOMOLOGY_WEIGHTS = st.one_of(

@@ -204,6 +204,19 @@ class TestEnumerateHamiltonianTrees:
         assert got["invariants"] == [str(inv) for inv in report.invariants]
         assert got["distinguishable"] == report.distinguishable
 
+    def test_descending_masks_are_ascending_edge_lists(self):
+        # The enumerator sorts trees as edge masks, bit E-1-j for edge j,
+        # in reverse: for equal-size edge sets that is the order of their
+        # sorted edge keys.
+        rng = random.Random(22)
+        keys = list(itertools.combinations(range(10), 2))
+        for _ in range(300):
+            e = rng.randint(1, len(keys))
+            size = rng.randint(0, e)
+            trees = [tuple(sorted(rng.sample(keys[:e], size))) for _ in range(rng.randint(2, 30))]
+            mask = {t: sum(1 << (e - 1 - keys.index(k)) for k in t) for t in set(trees)}
+            assert sorted(mask, key=mask.get, reverse=True) == sorted(mask)
+
     def test_complete_graph_at_the_vertex_limit_is_past_the_budget(self):
         n = analysis.HAMILTONIAN_VERTEX_LIMIT
         K = WeightedComplex(tuple(f"v{i}" for i in range(n)),

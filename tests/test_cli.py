@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wfg import cli
@@ -21,8 +21,8 @@ from wfg.invariants import witt_rank
 from wfg.vankampen import CoverSpec
 from wfg.analysis import Filtration, discriminate_trees, enumerate_hamiltonian_trees
 
-from helpers import (FIGURES, VERBS, documents, load_figure, random_connected_graph,
-                     raw_complexes, raw_document)
+from helpers import (FIGURES, VERBS, documents, hub_graphs, load_figure,
+                     random_connected_graph, raw_complexes, raw_document)
 
 
 def fig(name):
@@ -621,6 +621,15 @@ class TestHamiltonianReport:
         star = WeightedComplex(("c", "x", "y", "z"), ((0, 1, 2), (0, 2, 3), (0, 3, -1)))
         out = self.check(capsys, tmp_path, star)
         assert '"count": 0,\n  "trees": [],\n  "invariants": [],' in out
+
+    # The writer reads each tree's edge mask a byte at a time, so the edge
+    # counts sit on both sides of every byte boundary.  check overwrites its
+    # file and drains capsys, so the fixtures may be shared by examples.
+    @pytest.mark.parametrize("edges", [0, 1, 8, 9, 16, 17, 24, 25, 32, 33, 40, 41])
+    @settings(max_examples=6, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edge_counts_around_byte_boundaries(self, capsys, tmp_path, edges, data):
+        self.check(capsys, tmp_path, data.draw(hub_graphs(edges)))
 
     def test_random_graphs(self, capsys, tmp_path):
         # Weights in -2..2: zero, unit and repeated |w| factors.
