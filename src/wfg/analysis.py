@@ -15,8 +15,9 @@ from collections.abc import Iterable
 from operator import getitem
 
 # Called as module.function, so that a wrapper set on that module (as
-# bench/spans.py sets them) sees every call, whenever this module loaded.
-from . import complexes, invariants
+# bench/spans.py sets them) sees every call, whenever this module loaded;
+# ``invariants`` is imported where it is called, so ``hamiltonian`` skips it.
+from . import complexes
 from .complexes import (
     Tree,
     WeightedComplex,
@@ -32,7 +33,6 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .invariants import CyclicFactorization, _tree_factors, normalize_factorization
 from .record import Record
 
 UNKNOWN_REGION = "unknown"
@@ -67,6 +67,7 @@ class FiltrationAnalysis(Record):
 
 
 def _stage_factors(stage: WeightedComplex, index: int, fallback_abelian: bool):
+    from . import invariants
     prepared = ensure_tree(stage)
     try:
         return invariants.classify(prepared), False
@@ -76,7 +77,7 @@ def _stage_factors(stage: WeightedComplex, index: int, fallback_abelian: bool):
                 f"stage {index}: {err}", triangle=err.triangle, stage=index
             ) from err
         ab = invariants.abelianization(prepared)
-        return normalize_factorization([0] * ab.free_rank + list(ab.torsion)), True
+        return invariants.normalize_factorization([0] * ab.free_rank + list(ab.torsion)), True
 
 
 def analyze_filtration(f: Filtration, fallback_abelian: bool = False) -> FiltrationAnalysis:
@@ -222,7 +223,8 @@ def write_hamiltonian_report(complex: WeightedComplex, as_json: bool, write):
     edges ranked by |w|, and both masks to text through ``_mask_parts``.
     ``--json`` is laid out exactly as ``json.dump(payload, indent=2)``
     would; an invariant's text holds only letters, digits, "/", "*" and
-    spaces, so quoting it is its JSON encoding."""
+    spaces, so quoting it is its JSON encoding.  Each invariant is made as
+    it is written and compared with the first, so none is kept."""
     masks = _hamiltonian_masks(complex)
     keys = complex.edge_keys
     ranked = sorted((abs(w), j) for j, (_, _, w) in enumerate(complex.edges) if abs(w) != 1)
@@ -230,8 +232,17 @@ def write_hamiltonian_report(complex: WeightedComplex, as_json: bool, write):
     ranks = _mask_parts([rank_bit.get(j, 0) for j in range(len(keys))], 0)
     factors = _mask_parts([f" * Z/{m}" if m else " * Z" for m, _ in ranked], "")
     head = " * Z" * (len(keys) - len(complex.vertices) + 1)
-    invariants = [(head + "".join(factors(sum(ranks(mask)))))[3:] or "1" for mask in masks]
-    distinguishable = len(set(invariants)) > 1
+    distinguishable = False
+
+    def invariants():
+        nonlocal distinguishable
+        first = None
+        for mask in masks:
+            text = (head + "".join(factors(sum(ranks(mask)))))[3:] or "1"
+            first = first or text
+            distinguishable = distinguishable or text != first
+            yield text
+
     if as_json:
         edges = _mask_parts([f",\n      [\n        {a},\n        {b}\n      ]"
                              for a, b in keys], "")
@@ -239,13 +250,13 @@ def write_hamiltonian_report(complex: WeightedComplex, as_json: bool, write):
         _write_json_array(write, (f"[{text[1:]}\n    ]" if text else "[]"
                                   for text in map("".join, map(edges, masks))))
         write(',\n  "invariants": ')
-        _write_json_array(write, (f'"{inv}"' for inv in invariants))
+        _write_json_array(write, (f'"{inv}"' for inv in invariants()))
         write(f',\n  "used_abelianization": false,'
               f'\n  "distinguishable": {"true" if distinguishable else "false"}\n}}\n')
         return
     edges = _mask_parts([", {}-{}".format(*complex.edge_labels(key)) for key in keys], "")
     write(f"{len(masks)} Hamiltonian tree(s)\n")
-    for text, inv in zip(map("".join, map(edges, masks)), invariants):
+    for text, inv in zip(map("".join, map(edges, masks)), invariants()):
         write(f"  [{text[2:]}] -> {inv}\n")
     write(f"distinguishable: {distinguishable}\n")
 
@@ -274,15 +285,16 @@ def discriminate_trees(
 
     When any tree fails the exactly-two condition, abelianizations are used
     for every tree so the comparison stays within one invariant."""
+    from . import invariants
     trees = tuple(trees)
     n, known_edges = len(complex.vertices), set(complex.edge_keys)
     for t in trees:
         if _tree_violations(n, known_edges, t):
             raise BadTree(f"{t} is not a maximal tree of the complex")
 
-    factors = _tree_factors(complex)
+    factors = invariants._tree_factors(complex)
     try:
-        values = tuple(CyclicFactorization((0,) * free + tuple(finite))
+        values = tuple(invariants.CyclicFactorization((0,) * free + tuple(finite))
                        for free, finite in map(factors, trees))
         used_abelianization = False
     except ConditionFailed:

@@ -80,19 +80,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted fundamental groups of weighted simplicial complexes.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # What every verb shares, and --tree per help text, declared once as parents.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="path to a JSON input document")
+    common.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit a machine-readable JSON report")
+    parents = {None: [common]}
+    for tree, help_text in _TREE_HELP.items():
+        with_tree = argparse.ArgumentParser(add_help=False, parents=[common])
+        with_tree.add_argument("--tree", choices=TREE_STRATEGIES, help=help_text)
+        parents[tree] = [with_tree]
 
     def add(verb, help_text, report, kind="WeightedComplex", tree=None):
         """``kind`` names the class of document the verb takes; ``tree`` is
         "use" for a verb that needs the complex's tree (the document's, else
         one built), "build" for one that builds its own."""
-        p = sub.add_parser(verb, help=help_text)
+        p = sub.add_parser(verb, help=help_text, parents=parents[tree])
         p.set_defaults(report=report, kind=kind, needs_tree=tree == "use")
-        p.add_argument("input", help="path to a JSON input document")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit a machine-readable JSON report")
-        if tree:
-            p.add_argument("--tree", choices=TREE_STRATEGIES, default=None,
-                           help=_TREE_HELP[tree])
         return p
 
     add("validate", "check face closure, connectivity and the stored tree of a complex",

@@ -4,13 +4,14 @@ A complex is an ordered vertex list (list position is the total order on
 vertices), integer-weighted edges stored as index pairs (a, b) with a < b,
 triangles stored as index triples (a, v, b) with a < v < b, and an optional
 maximal tree.  A maximal tree, whether stored, built or enumerated, is a
-sorted tuple of its (a, b) edge keys.  All values are immutable; every
-operation is a pure function.  ``WeightedComplex(...)`` refuses what no
-complex can be (no vertex, a repeated label, a simplex out of range or out
-of order, a repeated edge, a tree pair that is no edge) with ``ValueError``,
-and a non-integer with ``TypeError``; ``validate`` reports what a complex
-can still get wrong: an unclosed face, a disconnected 1-skeleton, a stored
-tree that is not a maximal tree.
+sorted tuple of its (a, b) edge keys; ``labels`` writes the complex in
+vertex labels, by which complexes are compared.  All values are immutable;
+every operation is a pure function.  ``WeightedComplex(...)`` refuses what
+no complex can be (no vertex, a repeated label, a simplex out of range or
+out of order, a repeated edge, a tree pair that is no edge) with
+``ValueError``, and a non-integer with ``TypeError``; ``validate`` reports
+what a complex can still get wrong: an unclosed face, a disconnected
+1-skeleton, a stored tree that is not a maximal tree.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .record import Record, replace
 
 EdgeKey = tuple[int, int]
 Tree = tuple[EdgeKey, ...]
+LabelEdge = tuple[str, str]
 
 TREE_STRATEGIES = ("bfs", "kruskal-min", "kruskal-max")
 
@@ -57,6 +59,15 @@ class UnionFind:
                 parent[x] = y
                 self.components -= 1
         return joined
+
+
+class LabelView(Record):
+    """A complex written in vertex labels (``WeightedComplex.labels``)."""
+
+    position: dict[str, int]  # each label's position
+    edges: dict[LabelEdge, int]  # each edge's weight, by its label pair
+    triangles: frozenset[tuple[str, str, str]]
+    tree: frozenset[LabelEdge]  # empty without a tree
 
 
 class WeightedComplex(Record):
@@ -119,6 +130,14 @@ class WeightedComplex(Record):
             nbrs[a].append(b)
             nbrs[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+
+    @cached_property
+    def labels(self) -> LabelView:
+        name = self.vertices
+        return LabelView({label: i for i, label in enumerate(name)},
+                         {(name[a], name[b]): w for a, b, w in self.edges},
+                         frozenset((name[a], name[v], name[b]) for a, v, b in self.triangles),
+                         frozenset((name[a], name[b]) for a, b in self.tree or ()))
 
     def with_tree(self, tree_edges: Iterable[EdgeKey]) -> "WeightedComplex":
         return replace(self, tree=tree_edges)
@@ -212,20 +231,6 @@ def ensure_tree(complex: WeightedComplex, strategy: str = "bfs") -> WeightedComp
     return complex.with_tree(compute_maximal_tree(complex, strategy))
 
 
-def _embedding(inner: WeightedComplex, outer: WeightedComplex) -> list[int] | None:
-    """Positions of inner's vertices inside outer, or None when inner's
-    labels are not an order-preserving subset of outer's."""
-    pos = {label: i for i, label in enumerate(outer.vertices)}
-    mapped = []
-    for label in inner.vertices:
-        if label not in pos:
-            return None
-        mapped.append(pos[label])
-    if any(x >= y for x, y in zip(mapped, mapped[1:])):
-        return None
-    return mapped
-
-
 def is_weighted_subcomplex(
     inner: WeightedComplex, outer: WeightedComplex, check_tree: bool = True
 ) -> bool:
@@ -234,24 +239,11 @@ def is_weighted_subcomplex(
     outer's tree.  Vertices are matched by label."""
     if check_tree and (inner.tree is None or outer.tree is None):
         raise MissingTree("both complexes need a tree for the subcomplex check")
-    emb = _embedding(inner, outer)
-    if emb is None:
-        return False
-    outer_w = outer.weight_of
-    for a, b, w in inner.edges:
-        key = (emb[a], emb[b])
-        if outer_w.get(key) != w:
-            return False
-    outer_triangles = set(outer.triangles)
-    for a, u, b in inner.triangles:
-        if (emb[a], emb[u], emb[b]) not in outer_triangles:
-            return False
-    if check_tree:
-        outer_tree = set(outer.tree)
-        for a, b in inner.tree:
-            if (emb[a], emb[b]) not in outer_tree:
-                return False
-    return True
+    inside, view = inner.labels, outer.labels
+    in_order = tuple(label for label in outer.vertices if label in inside.position)
+    return (in_order == inner.vertices and inside.edges.items() <= view.edges.items()
+            and inside.triangles <= view.triangles
+            and (not check_tree or inside.tree <= view.tree))
 
 
 def complex_from_json(doc) -> WeightedComplex:

@@ -12,9 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import index
 
-# Called as module.function, so that a wrapper set on that module (as
-# bench/spans.py sets them) sees every call, whenever this module loaded.
-from . import exact, presentation
 from .complexes import WeightedComplex
 from .errors import (
     ConditionFailed,
@@ -24,8 +21,11 @@ from .errors import (
     NonPositive,
     ZeroWeightEdge,
 )
-from .exact import AbelianGroup, mobius
 from .record import Record
+
+# ``exact`` and ``presentation`` are imported where they are called, so that
+# ``classify`` loads neither, and called as module.function, so that a
+# wrapper set on that module (as bench/spans.py sets them) sees every call.
 
 
 class CyclicFactorization(Record):
@@ -49,6 +49,7 @@ class CyclicFactorization(Record):
         return self.orders.count(0)
 
     def as_abelian(self) -> AbelianGroup:
+        from .exact import AbelianGroup
         return AbelianGroup.from_cyclic_orders(self.orders)
 
     def __str__(self):
@@ -141,6 +142,7 @@ def _tree_factors(complex: WeightedComplex):
 def abelianization(complex: WeightedComplex) -> AbelianGroup:
     """Abelianization of the weighted fundamental group, via the exponent
     sum matrix of the defining presentation."""
+    from . import presentation
     return presentation.abelianized_group(presentation.present(complex))
 
 
@@ -153,6 +155,7 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
     """Weighted H1 (kernel) and H0 (cokernel) of the boundary map sending
     edge [a, b] to w(ab)([b] - [a]); vertex weights are fixed at 1.
     Restricted to graphs with nonzero edge weights."""
+    from . import exact
     if complex.triangles:
         raise HasTriangles("weighted homology is computed for graphs only")
     zero = next((e for e in complex.edges if e[2] == 0), None)
@@ -161,8 +164,8 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
     # One greedy gives H0 and the boundary's rank; H1, its kernel, is free.
     n = len(complex.vertices)
     rank, torsion = exact.forest_torsion(n, [(a, b, abs(w)) for a, b, w in complex.edges])
-    return WeightedHomology(h0=AbelianGroup(n - rank, torsion),
-                            h1=AbelianGroup(len(complex.edges) - rank))
+    return WeightedHomology(h0=exact.AbelianGroup(n - rank, torsion),
+                            h1=exact.AbelianGroup(len(complex.edges) - rank))
 
 
 def _divisors(n: int) -> list[int]:
@@ -215,6 +218,7 @@ def witt_rank(m: int, n: int) -> int:
         raise NonPositive(f"witt_rank needs m >= 0, got {m}")
     if n == 1:
         return m
+    from .exact import mobius
     total = sum(mobius(d) * m ** (n // d) for d in _divisors(n))
     if total % n != 0:
         raise NonIntegerRank(f"necklace sum {total} not divisible by {n}")

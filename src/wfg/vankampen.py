@@ -15,8 +15,8 @@ generator classes are both read.  Group-level equality is undecidable, so
 consistency with the direct presentation of L is reported at the
 abelianization level (always) and at the cyclic-factorization level (when
 the exactly-two condition licenses it).  Vertices are matched across
-complexes by label; every member's vertex list must embed
-order-preservingly into L's.
+complexes by label (``WeightedComplex.labels``); every member's vertex
+list must embed order-preservingly into L's.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from __future__ import annotations
 # Called as module.function, so that a wrapper set on that module (as
 # bench/spans.py sets them) sees every call, whenever this module loaded.
 from . import complexes, invariants, presentation
-from .complexes import ValidationReport, WeightedComplex, _embedding, is_weighted_subcomplex
+from .complexes import LabelEdge, ValidationReport, WeightedComplex, is_weighted_subcomplex
 from .errors import HypothesesFailed, SchemaError
 from .exact import AbelianGroup
 from .invariants import CyclicFactorization, normalize_factorization, triangle_faces
 from .presentation import Presentation, Word, _relators, generator_label
 from .record import Record
-
-LabelEdge = tuple[str, str]
 
 
 class CoverSpec(Record):
@@ -66,15 +64,6 @@ class VanKampenReport(Record):
         return self.abelianization_amalgamated == self.abelianization_direct
 
 
-def _labels(K: WeightedComplex):
-    """K's vertex, edge, triangle and tree sets, written in vertex labels
-    (the tree set is empty when K has no tree)."""
-    name = K.vertices
-    return (set(name), {(name[a], name[b]) for a, b, _ in K.edges},
-            {(name[a], name[v], name[b]) for a, v, b in K.triangles},
-            {(name[a], name[b]) for a, b in K.tree or ()})
-
-
 def _hypotheses(spec: CoverSpec) -> tuple[ValidationReport, bool, bool]:
     """The hypothesis report and the two tree equalities of the lemma
     (tree union, tree intersection), both False when a member is invalid
@@ -98,7 +87,9 @@ def _hypotheses(spec: CoverSpec) -> tuple[ValidationReport, bool, bool]:
             if not is_weighted_subcomplex(getattr(spec, a), getattr(spec, b)):
                 v.append((f"subcomplex-{a}-in-{b}", f"{a} is not a weighted subcomplex of {b}"))
 
-    L, K1, K2, K0 = map(_labels, (spec.L, spec.K1, spec.K2, spec.K0))
+    # Each member's vertex, edge, triangle and tree sets, in vertex labels.
+    L, K1, K2, K0 = ((K.labels.position.keys(), K.labels.edges.keys(), K.labels.triangles,
+                      K.labels.tree) for K in (spec.L, spec.K1, spec.K2, spec.K0))
     if any(x | y != z for x, y, z in zip(K1[:3], K2[:3], L[:3])):
         v.append(("cover-union", "K1 union K2 differs from L"))
     if any(x & y != z for x, y, z in zip(K1[:3], K2[:3], K0[:3])):
@@ -125,13 +116,10 @@ def check_hypotheses(spec: CoverSpec) -> ValidationReport:
 def _mapped(spec: CoverSpec):
     """(edges, triangles, tree) of K0, K1 and K2, in that order, written in
     L's vertex indices."""
-    out = []
-    for K in (spec.K0, spec.K1, spec.K2):
-        emb = _embedding(K, spec.L)
-        out.append(({(emb[a], emb[b]) for a, b, _ in K.edges},
-                    {(emb[a], emb[v], emb[b]) for a, v, b in K.triangles},
-                    {(emb[a], emb[b]) for a, b in K.tree}))
-    return out
+    at = spec.L.labels.position.__getitem__
+    return [tuple({tuple(map(at, simplex)) for simplex in simplices}
+                  for simplices in (K.labels.edges, K.labels.triangles, K.labels.tree))
+            for K in (spec.K0, spec.K1, spec.K2)]
 
 
 def _generator_classes(mapped) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -207,10 +195,8 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
     if invariants.satisfies_exactly_two(spec.L):
         factorizations = (invariants.classify(spec.L), _cover_factorization(spec.L, classes))
 
-    label_classes = {
-        name: tuple(spec.L.edge_labels(e) for e in edges)
-        for name, edges in classes.items()
-    }
+    label_classes = {name: tuple(map(spec.L.edge_labels, edges))
+                     for name, edges in classes.items()}
     return VanKampenReport(
         hypothesis_report=report,
         tree_union_ok=union_ok,

@@ -33,7 +33,7 @@ from wfg import (
     validate,
 )
 from wfg.complexes import UnionFind
-from wfg.errors import ConditionFailed, ShapeMismatch
+from wfg.errors import ConditionFailed, MissingTree, ShapeMismatch
 from wfg.exact import _coprime_base, _valuation
 from wfg.record import replace
 from wfg.vankampen import CoverSpec
@@ -407,6 +407,28 @@ def classify_oracle(complex: WeightedComplex) -> CyclicFactorization:
     )
 
 
+def weighted_subcomplex_oracle(
+    inner: WeightedComplex, outer: WeightedComplex, check_tree: bool = True
+) -> bool:
+    """``is_weighted_subcomplex`` by embedding: inner's vertex positions
+    inside outer, then each inner simplex mapped through them and looked
+    up among outer's index-keyed simplices."""
+    if check_tree and (inner.tree is None or outer.tree is None):
+        raise MissingTree("both complexes need a tree for the subcomplex check")
+    pos = {label: i for i, label in enumerate(outer.vertices)}
+    if any(label not in pos for label in inner.vertices):
+        return False
+    emb = [pos[label] for label in inner.vertices]
+    if any(x >= y for x, y in zip(emb, emb[1:])):
+        return False
+    outer_w, outer_triangles = outer.weight_of, set(outer.triangles)
+    if any(outer_w.get((emb[a], emb[b])) != w for a, b, w in inner.edges):
+        return False
+    if any((emb[a], emb[u], emb[b]) not in outer_triangles for a, u, b in inner.triangles):
+        return False
+    return not check_tree or all((emb[a], emb[b]) in set(outer.tree) for a, b in inner.tree)
+
+
 def discriminate_trees_oracle(complex: WeightedComplex, trees):
     """Invariants and abelianization flag of ``discriminate_trees`` the
     long way: a copy of the complex carrying each tree, classified, and
@@ -512,6 +534,48 @@ def complexes(draw, max_vertices=6):
         uf = UnionFind(n)
         tree = [e for e in draw(st.permutations(keys)) if uf.union(*e)]
     return WeightedComplex(tuple(labels), tuple(edges), tuple(triangles), tree)
+
+
+@st.composite
+def subcomplex_pairs(draw, max_vertices=6):
+    """(inner, outer) for the subcomplex check.  Inner keeps some of
+    outer's vertices, the simplices among them (or some of them) and the
+    outer tree edges among its edges (or some of them); then it may
+    reorder its labels, take a label foreign to outer, change a weight,
+    add an edge or triangle that outer lacks, get a tree edge outside
+    outer's tree, or lose its tree.  Outer's tree may be missing too."""
+    outer = draw(complexes(max_vertices))
+
+    def some(items):
+        return [x for x in items if draw(st.booleans())] if draw(st.booleans()) else items
+
+    keep = sorted(draw(st.sets(st.integers(0, len(outer.vertices) - 1), min_size=1)))
+    at = {old: new for new, old in enumerate(keep)}
+    labels = [outer.vertices[i] for i in keep]
+    edges = some([(at[a], at[b], w) for a, b, w in outer.edges if a in at and b in at])
+    triangles = some([tuple(at[x] for x in t) for t in outer.triangles if set(t) <= at.keys()])
+    keys = [(a, b) for a, b, _ in edges]
+    tree = some([e for e in keys if (keep[e[0]], keep[e[1]]) in set(outer.tree or ())])
+    change = draw(st.sampled_from(["none", "reorder", "foreign", "weight", "extra-edge",
+                                   "extra-triangle", "tree-edge", "no-tree"]))
+    pairs = list(itertools.combinations(range(len(keep)), 2))
+    if change == "foreign":
+        labels[draw(st.integers(0, len(keep) - 1))] = "foreign"  # outer's have <= 3 chars
+    elif change == "weight" and edges:
+        j = draw(st.integers(0, len(edges) - 1))
+        edges[j] = edges[j][:2] + (edges[j][2] + draw(st.sampled_from([-1, 1])),)
+    elif change == "extra-edge" and set(pairs) - set(keys):
+        a, b = draw(st.sampled_from(sorted(set(pairs) - set(keys))))
+        edges.append((a, b, draw(st.integers(-12, 12))))
+    elif change == "extra-triangle" and len(keep) >= 3:
+        triangles.append(draw(st.sampled_from(list(itertools.combinations(range(len(keep)), 3)))))
+    elif change == "tree-edge" and keys:
+        tree.append(draw(st.sampled_from(keys)))
+    inner = WeightedComplex(tuple(labels), tuple(edges), tuple(triangles),
+                            None if change == "no-tree" else tree)
+    if change == "reorder":
+        inner = relabel(inner, draw(st.permutations(range(len(keep)))))
+    return inner, outer
 
 
 @st.composite

@@ -3,7 +3,8 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfg.complexes import (
     TREE_STRATEGIES,
@@ -26,6 +27,8 @@ from helpers import (
     random_connected_graph,
     random_spanning_tree,
     relabel,
+    subcomplex_pairs,
+    weighted_subcomplex_oracle,
 )
 
 FIGURE1 = complex_from_json(load_figure("figure1.json"))
@@ -251,6 +254,21 @@ class TestWeightedSubcomplex:
         with pytest.raises(MissingTree):
             is_weighted_subcomplex(bare, FIGURE1)
         assert is_weighted_subcomplex(bare, FIGURE1, check_tree=False)
+
+    @settings(max_examples=300)
+    @given(subcomplex_pairs(), st.booleans())
+    def test_matches_embedding_oracle(self, pair, check_tree):
+        """The label-view check agrees with the embedding one, both ways
+        round, and both raise MissingTree on the same pairs."""
+        for inner, outer in (pair, pair[::-1]):
+            if check_tree and (inner.tree is None or outer.tree is None):
+                with pytest.raises(MissingTree):
+                    is_weighted_subcomplex(inner, outer)
+                with pytest.raises(MissingTree):
+                    weighted_subcomplex_oracle(inner, outer)
+                continue
+            assert (is_weighted_subcomplex(inner, outer, check_tree)
+                    == weighted_subcomplex_oracle(inner, outer, check_tree))
 
 
 class TestJson:

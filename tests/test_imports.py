@@ -77,6 +77,10 @@ def test_verb_imports(verb):
         assert loaded & {"wfg.vankampen", "wfg.analysis"} == set()
     if verb in ("validate", "tree"):
         assert loaded & {"wfg.exact", "wfg.invariants"} == set()
+    if verb == "classify":
+        assert loaded & {"wfg.exact", "wfg.presentation"} == set()
+    if verb == "hamiltonian":
+        assert loaded & {"wfg.invariants", "wfg.exact", "wfg.presentation"} == set()
 
 
 def test_import_wfg_loads_only_errors():
