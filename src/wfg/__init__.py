@@ -25,7 +25,7 @@ _EXPORTS = {
                   "complex_to_json", "compute_maximal_tree", "is_weighted_subcomplex",
                   "validate"),
     "exact": ("AbelianGroup", "IntegerMatrix", "SnfResult", "abelian_group_from_matrix",
-              "mobius", "smith_normal_form"),
+              "smith_normal_form"),
     "invariants": ("CyclicFactorization", "WeightedHomology", "abelianization", "classify",
                    "lcs_free_ranks", "normalize_factorization", "satisfies_exactly_two",
                    "weighted_homology_graph", "witt_rank"),

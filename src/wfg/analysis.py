@@ -321,10 +321,14 @@ def filtration_from_json(doc) -> Filtration:
     if not isinstance(regions, dict):
         raise SchemaError('"regions" must map weight values to labels')
     for key, label in regions.items():
+        # Only the canonical decimal text of an integer, so that no two keys
+        # ("3", "03", " 3", "+3") name one weight.
         try:
             weight = int(key)
-        except ValueError as err:
-            raise SchemaError(f'region key "{key}" is not an integer weight') from err
+        except ValueError:
+            weight = None
+        if str(weight) != key:
+            raise SchemaError(f'region key "{key}" is not an integer weight')
         if not isinstance(label, str):
             raise SchemaError(f'region label for weight {key} must be a string')
         region_map[weight] = label

@@ -2,9 +2,9 @@
 
 Everything in this module is arbitrary precision: integer matrices
 stored by their nonzeros, with a dense Smith normal form, finitely
-generated abelian groups in invariant factor form with a sparse kernel
-that finds them from a relation matrix, and the Moebius function.  No
-floating point appears on any computation path.
+generated abelian groups in invariant factor form, and a sparse kernel
+that finds them from a relation matrix.  No floating point appears on
+any computation path.
 
 The sparse kernel picks its pivots from a heap with one key per row: the
 least (|value|, Markowitz cost, row, column) over the row's entries.  The
@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import compress
 
 from .complexes import UnionFind
-from .errors import NonPositive, ShapeMismatch
+from .errors import ShapeMismatch
 from .record import Record
 
 
@@ -436,20 +436,3 @@ def _valuation(n: int, q: int) -> int:
         c += 1
     return c
 
-
-def mobius(n: int) -> int:
-    """Moebius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
-    if n < 1:
-        raise NonPositive(f"mobius({n}) undefined")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result

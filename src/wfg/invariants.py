@@ -88,14 +88,6 @@ def _failing_triangle(triangles, tree: set):
     return None
 
 
-def triangle_faces(complex: WeightedComplex) -> set[tuple[int, int]]:
-    """Every edge that bounds a triangle of the complex."""
-    faces = set()
-    for a, v, b in complex.triangles:
-        faces.update(((a, v), (v, b), (a, b)))
-    return faces
-
-
 def classify(complex: WeightedComplex) -> CyclicFactorization:
     """Free-product-of-cyclics classification under the exactly-two
     condition: tree edges and non-tree triangle faces contribute |w|,
@@ -113,7 +105,7 @@ def _tree_factors(complex: WeightedComplex):
     triangles and the tree's edges only: every face gives |w| whatever the
     tree, and each other edge outside the tree gives Z, so those Z factors
     are filled in by count."""
-    faces = triangle_faces(complex)
+    faces = {face for a, v, b in complex.triangles for face in ((a, v), (v, b), (a, b))}
     face_orders = []
     others: dict[tuple[int, int], int] = {}  # |w| of each non-face edge
     for a, b, w in complex.edges:
@@ -168,18 +160,6 @@ def weighted_homology_graph(complex: WeightedComplex) -> WeightedHomology:
                             h1=exact.AbelianGroup(len(complex.edges) - rank))
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def lcs_free_ranks(g: CyclicFactorization, max_n: int) -> tuple[int, ...]:
     """Free ranks R_1..R_max_n of the lower-central-series quotients.
 
@@ -211,15 +191,27 @@ def lcs_free_ranks(g: CyclicFactorization, max_n: int) -> tuple[int, ...]:
 def witt_rank(m: int, n: int) -> int:
     """Necklace count (1/n) sum_{d | n} mobius(d) m^(n/d): the free rank of
     the n-th lower-central quotient of a free group of rank m, and so of any
-    free product of cyclic groups with m infinite factors."""
+    free product of cyclic groups with m infinite factors.  mobius(d) is 0
+    unless d is a product of k distinct primes, and then (-1)^k, so the sum
+    runs over the sets of distinct primes of n, found by one trial
+    division."""
     if n < 1:
         raise NonPositive(f"witt_rank needs n >= 1, got {n}")
     if m < 0:
         raise NonPositive(f"witt_rank needs m >= 0, got {m}")
     if n == 1:
         return m
-    from .exact import mobius
-    total = sum(mobius(d) * m ** (n // d) for d in _divisors(n))
+    terms = [(1, 1)]  # (d, mobius(d)) for each squarefree divisor d of n
+    rest, p = n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            terms += [(d * p, -mu) for d, mu in terms]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        terms += [(d * rest, -mu) for d, mu in terms]
+    total = sum(mu * m ** (n // d) for d, mu in terms)
     if total % n != 0:
         raise NonIntegerRank(f"necklace sum {total} not divisible by {n}")
     return total // n

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-# Called as module.function, so that a wrapper set on that module (as
-# bench/spans.py sets them) sees every call, whenever this module loaded.
-from . import exact
 from .complexes import WeightedComplex
 from .errors import MissingTree
-from .exact import AbelianGroup, IntegerMatrix
 from .record import Record
+
+# ``exact`` is imported where it is called, so that ``present`` does not
+# load it, and called as exact.function, so that a wrapper set on that
+# module (as bench/spans.py sets them) sees every call.
 
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
@@ -105,13 +105,14 @@ def present(complex: WeightedComplex) -> Presentation:
 def abelianized_relation_matrix(p: Presentation) -> IntegerMatrix:
     """One row per relator, one column per generator, entries the signed
     exponent sums; only the nonzeros are stored."""
+    from . import exact
     rows = []
     for word in p.relators:
         row: dict[int, int] = {}
         for g, e in word:
             row[g] = row.get(g, 0) + e
         rows.append(row)
-    return IntegerMatrix.from_sparse_rows(len(p.generators), rows)
+    return exact.IntegerMatrix.from_sparse_rows(len(p.generators), rows)
 
 
 def abelianized_group(p: Presentation) -> AbelianGroup:
@@ -120,6 +121,7 @@ def abelianized_group(p: Presentation) -> AbelianGroup:
     invariant-factor kernel."""
     group = _certified_group(p)
     if group is None:
+        from . import exact
         group = exact.abelian_group_from_matrix(abelianized_relation_matrix(p))
     return group
 
@@ -168,6 +170,7 @@ def _certified_group(p: Presentation) -> AbelianGroup | None:
     the incidence matrix of a graph on the rows and a ground node, less the
     ground row: a column is an edge between its two rows, or from its one
     row to the ground.  ``exact.forest_torsion`` reads off that graph."""
+    from . import exact
     n = len(p.generators)
     merged, others = _SignedForest(n), []
     for word in p.relators:
@@ -212,7 +215,7 @@ def _certified_group(p: Presentation) -> AbelianGroup | None:
         edges.append((i, j, width[c]))
     rank, torsion = exact.forest_torsion(ground + 1, edges, [width[c] for c in split])
     columns = sum(c == g for g, (c, _) in enumerate(where))
-    return AbelianGroup(columns - len(split) - rank, torsion)
+    return exact.AbelianGroup(columns - len(split) - rank, torsion)
 
 
 def presentation_to_json(p: Presentation) -> dict:

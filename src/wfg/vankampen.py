@@ -26,8 +26,7 @@ from __future__ import annotations
 from . import complexes, invariants, presentation
 from .complexes import LabelEdge, ValidationReport, WeightedComplex, is_weighted_subcomplex
 from .errors import HypothesesFailed, SchemaError
-from .exact import AbelianGroup
-from .invariants import CyclicFactorization, normalize_factorization, triangle_faces
+from .invariants import CyclicFactorization
 from .presentation import Presentation, Word, _relators, generator_label
 from .record import Record
 
@@ -168,18 +167,6 @@ def amalgamated_presentation(spec: CoverSpec) -> Presentation:
     return _amalgamate(spec.L, _mapped(spec))
 
 
-def _cover_factorization(L: WeightedComplex, classes) -> CyclicFactorization:
-    """Factor multiset predicted by the six generator classes: the three
-    tree classes contribute |w|, the three non-tree classes contribute |w|
-    when the edge bounds a triangle of L and an infinite factor otherwise."""
-    weight = L.weight_of
-    faces = triangle_faces(L)
-    raw = [weight[e] for name in ("A0", "K1_tree_new", "K2_tree_new") for e in classes[name]]
-    raw += [weight[e] if e in faces else 0
-            for name in ("K0_minus_A0", "K1_free", "K2_free") for e in classes[name]]
-    return normalize_factorization(raw)
-
-
 def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
     """Check the hypotheses, build both the amalgamated and the direct
     presentation of L, and compare their computable invariants."""
@@ -193,7 +180,12 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
     direct = presentation.present(spec.L)
     factorizations = None
     if invariants.satisfies_exactly_two(spec.L):
-        factorizations = (invariants.classify(spec.L), _cover_factorization(spec.L, classes))
+        # The factorization the cover predicts: classify's rule applied to
+        # the three tree classes, which are L's tree under the hypotheses.
+        cover_tree = classes["A0"] + classes["K1_tree_new"] + classes["K2_tree_new"]
+        free, finite = invariants._tree_factors(spec.L)(cover_tree)
+        factorizations = (invariants.classify(spec.L),
+                          CyclicFactorization((0,) * free + tuple(finite)))
 
     label_classes = {name: tuple(map(spec.L.edge_labels, edges))
                      for name, edges in classes.items()}

@@ -1097,6 +1097,19 @@ def grid_skeleton(rng, k: int) -> WeightedComplex:
     return WeightedComplex(labels, tuple((a, b, w) for (a, b), w in edges.items()))
 
 
+def cover_factorization_oracle(L: WeightedComplex, classes) -> CyclicFactorization:
+    """Factor multiset predicted by the six generator classes of a van
+    Kampen report (edges as label pairs): the three tree classes contribute
+    |w|, the three non-tree classes contribute |w| when the edge bounds a
+    triangle of L and an infinite factor otherwise."""
+    weight = L.labels.edges
+    faces = {face for a, v, b in L.labels.triangles for face in ((a, v), (v, b), (a, b))}
+    raw = [weight[e] for name in ("A0", "K1_tree_new", "K2_tree_new") for e in classes[name]]
+    raw += [weight[e] if e in faces else 0
+            for name in ("K0_minus_A0", "K1_free", "K2_free") for e in classes[name]]
+    return normalize_factorization(raw)
+
+
 def split_grid_cover(rng, k: int, span=(-5, 5)) -> CoverSpec:
     """The triangulated grid (k even), weights in the closed range ``span``,
     cut into two halves sharing the middle column.  K0 is the middle column

@@ -201,6 +201,26 @@ class TestVerbs:
         assert code == 0
         assert "warning: abelianization fallback at stages 0, 1" in out
 
+    # Each key int() reads as a weight, but not as its canonical text: with
+    # "3" beside it, two keys would name one weight.
+    @pytest.mark.parametrize("key", ["\u0663", "03", " 3", "3 ", "+3", "3_0", "-0"])
+    def test_filtration_region_key_must_be_canonical(self, capsys, tmp_path, key):
+        doc = load_figure("figure5-filtration.json")
+        doc["regions"] = {"3": "left", key: "other"}
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert run(capsys, "filtration", str(path)) == (
+            1, "", f'error: region key "{key}" is not an integer weight\n')
+
+    def test_filtration_negative_region_key(self, capsys, tmp_path):
+        doc = load_figure("figure5-filtration.json")
+        doc["regions"] = {"-3": "other", "3": "left"}
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "filtration", str(path))
+        assert code == 0
+        assert "stage 1: birth Z/3 (left)" in out
+
     def test_hamiltonian(self, capsys):
         code, out, _ = run(capsys, "hamiltonian", fig("figure6-hexagon.json"))
         assert code == 0

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wfg.errors import NonPositive, ShapeMismatch
+from wfg.errors import ShapeMismatch
 from wfg.exact import (
     AbelianGroup,
     IntegerMatrix,
     abelian_group_from_matrix,
-    mobius,
     smith_normal_form,
 )
 
@@ -30,7 +29,6 @@ from helpers import (
     identity_matrix,
     is_unimodular,
     matmul,
-    mobius_oracle,
     one_minus_x_pow,
     random_matrix,
     random_relation_matrix,
@@ -282,29 +280,6 @@ class TestAbelianGroup:
         assert str(AbelianGroup(0)) == "0"
         assert str(AbelianGroup(1)) == "Z"
         assert str(AbelianGroup(2, (2, 4))) == "Z^2 ⊕ Z/2 ⊕ Z/4"
-
-
-class TestMobius:
-    def test_small_values(self):
-        assert mobius(1) == 1
-        assert mobius(6) == 1  # two prime factors
-        assert mobius(12) == 0  # divisible by 4
-
-    def test_against_trial_division_oracle(self):
-        assert all(mobius(n) == mobius_oracle(n) for n in range(1, 400))
-
-    def test_divisor_sums(self):
-        total = [0] * 10001
-        for d in range(1, 10001):
-            mu = mobius(d)
-            for n in range(d, 10001, d):
-                total[n] += mu
-        assert total[1] == 1
-        assert all(total[n] == 0 for n in range(2, 10001))
-
-    def test_domain(self):
-        with pytest.raises(NonPositive):
-            mobius(0)
 
 
 class TestSeries:

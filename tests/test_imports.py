@@ -29,7 +29,7 @@ EXPORTS = {
                   "complex_to_json", "compute_maximal_tree", "is_weighted_subcomplex",
                   "validate"],
     "exact": ["AbelianGroup", "IntegerMatrix", "SnfResult", "abelian_group_from_matrix",
-              "mobius", "smith_normal_form"],
+              "smith_normal_form"],
     "invariants": ["CyclicFactorization", "WeightedHomology", "abelianization", "classify",
                    "lcs_free_ranks", "normalize_factorization", "satisfies_exactly_two",
                    "weighted_homology_graph", "witt_rank"],
@@ -77,6 +77,8 @@ def test_verb_imports(verb):
         assert loaded & {"wfg.vankampen", "wfg.analysis"} == set()
     if verb in ("validate", "tree"):
         assert loaded & {"wfg.exact", "wfg.invariants"} == set()
+    if verb in ("present", "lcs"):
+        assert "wfg.exact" not in loaded
     if verb == "classify":
         assert loaded & {"wfg.exact", "wfg.presentation"} == set()
     if verb == "hamiltonian":

@@ -48,6 +48,7 @@ from helpers import (
     homology_graphs,
     lcs_ranks_oracle,
     load_figure,
+    mobius_oracle,
     random_connected_graph,
     random_mixed_factorization,
     random_spanning_tree,
@@ -445,6 +446,15 @@ class TestWittRank:
     def test_domain(self):
         with pytest.raises(NonPositive):
             witt_rank(2, 0)
+        with pytest.raises(NonPositive):
+            witt_rank(-1, 3)
+
+    def test_against_divisor_sum_with_trial_division_oracle(self):
+        mu = [0] + [mobius_oracle(d) for d in range(1, 600)]
+        for m in (0, 1, 2, 3, 7, 10 ** 6):
+            for n in range(1, 600):
+                total = sum(mu[d] * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
+                assert witt_rank(m, n) * n == total, (m, n)
 
 
 class TestModuleProperties:

@@ -21,6 +21,7 @@ REMOVED = {
     "realize": "invariants",
     "is_spanning_tree": "complexes",
     "BadPermutation": "errors",
+    "mobius": "exact",
 }
 
 

@@ -17,7 +17,13 @@ from wfg.vankampen import (
     verify_van_kampen,
 )
 
-from helpers import BROKEN_COVERS, load_figure, random_cover
+from helpers import (
+    BROKEN_COVERS,
+    cover_factorization_oracle,
+    load_figure,
+    random_cover,
+    split_grid_cover,
+)
 
 COVER = cover_from_json(load_figure("figure4-cover.json"))
 COVER_W1 = cover_from_json(load_figure("figure4-cover-w1.json"))
@@ -148,6 +154,36 @@ class TestVerifyVanKampen:
             if report.factorizations is not None:
                 direct, from_cover = report.factorizations
                 assert direct == from_cover
+
+
+class TestCoverFactorization:
+    """The factorization predicted from the cover is classify's rule read
+    off the cover's tree classes; the oracle applies the six-class rule."""
+
+    @staticmethod
+    def check(spec):
+        report = verify_van_kampen(spec)
+        assert report.hypotheses_ok, report.hypothesis_report.violations
+        if report.factorizations is None:
+            return False
+        predicted = cover_factorization_oracle(spec.L, report.generator_classes)
+        assert report.factorizations[1] == predicted
+        return True
+
+    def test_random_covers(self):
+        rng = random.Random(2024)
+        assert sum(self.check(random_cover(rng)) for _ in range(150)) > 100
+
+    @pytest.mark.parametrize("span", [(-5, 5), (2, 10 ** 6)])
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_split_grid_covers(self, k, span):
+        spec = split_grid_cover(random.Random(k), k, span)
+        # Most of the grid's triangles have one edge in its tree, so L fails
+        # exactly-two and nothing is predicted; the members' 1-skeletons are
+        # a cover of graphs, which always passes.
+        assert not self.check(spec)
+        assert self.check(CoverSpec(*(replace(K, triangles=()) for K in
+                                      (spec.L, spec.K1, spec.K2, spec.K0))))
 
 
 class TestVerifyAgainstPublicFunctions:
