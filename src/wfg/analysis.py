@@ -292,10 +292,8 @@ def discriminate_trees(
         if _tree_violations(n, known_edges, t):
             raise BadTree(f"{t} is not a maximal tree of the complex")
 
-    factors = invariants._tree_factors(complex)
     try:
-        values = tuple(invariants.CyclicFactorization((0,) * free + tuple(finite))
-                       for free, finite in map(factors, trees))
+        values = tuple(map(invariants._tree_factors(complex), trees))
         used_abelianization = False
     except ConditionFailed:
         values = tuple(invariants.abelianization(complex.with_tree(t)) for t in trees)

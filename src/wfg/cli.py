@@ -348,7 +348,15 @@ def run(argv) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Python's SIGPIPE note: point fd 1 at
+        # the null device, so that the flush at exit cannot fail again.
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _Invalid as err:
         print(err, file=sys.stderr)
         return 1

@@ -48,19 +48,10 @@ class CyclicFactorization(Record):
     def free_count(self) -> int:
         return self.orders.count(0)
 
-    def as_abelian(self) -> AbelianGroup:
-        from .exact import AbelianGroup
-        return AbelianGroup.from_cyclic_orders(self.orders)
-
     def __str__(self):
-        z = self.free_count  # the zeros come first
-        return factorization_text(z, self.orders[z:])
-
-
-def factorization_text(free: int, finite) -> str:
-    """The text of the free product of ``free`` copies of Z and of Z/m for
-    each order m >= 2 in ``finite``, ascending: "1" for the trivial group."""
-    return " * ".join(["Z"] * free + [f"Z/{m}" for m in finite]) or "1"
+        # The zeros come first; the trivial group is "1".
+        z = self.free_count
+        return " * ".join(["Z"] * z + [f"Z/{m}" for m in self.orders[z:]]) or "1"
 
 
 def normalize_factorization(raw: Iterable[int]) -> CyclicFactorization:
@@ -92,19 +83,16 @@ def classify(complex: WeightedComplex) -> CyclicFactorization:
     """Free-product-of-cyclics classification under the exactly-two
     condition: tree edges and non-tree triangle faces contribute |w|,
     remaining edges contribute an infinite factor."""
-    tree = _tree_of(complex)
-    free, finite = _tree_factors(complex)(tree)
-    return CyclicFactorization((0,) * free + tuple(finite))
+    return _tree_factors(complex)(_tree_of(complex))
 
 
 def _tree_factors(complex: WeightedComplex):
     """``classify`` of the complex against any tree: the returned function
     takes a tree's (distinct) edge keys, raises ConditionFailed as classify
-    does, and returns the number of Z factors and the finite orders,
-    ascending.  Faces and weights are read once, here.  A call walks the
-    triangles and the tree's edges only: every face gives |w| whatever the
-    tree, and each other edge outside the tree gives Z, so those Z factors
-    are filled in by count."""
+    does, and returns the tree's CyclicFactorization.  Faces and weights
+    are read once, here.  A call walks the triangles and the tree's edges
+    only: every face gives |w| whatever the tree, and each other edge
+    outside the tree gives Z, so those Z factors are filled in by count."""
     faces = {face for a, v, b in complex.triangles for face in ((a, v), (v, b), (a, b))}
     face_orders = []
     others: dict[tuple[int, int], int] = {}  # |w| of each non-face edge
@@ -114,7 +102,7 @@ def _tree_factors(complex: WeightedComplex):
         elif abs(w) != 1:
             face_orders.append(abs(w))
 
-    def factors(tree) -> tuple[int, list[int]]:
+    def factors(tree) -> CyclicFactorization:
         if complex.triangles:
             bad = _failing_triangle(complex.triangles, set(tree))
             if bad is not None:
@@ -123,10 +111,11 @@ def _tree_factors(complex: WeightedComplex):
                     f"exactly-two condition fails at triangle ({la},{lv},{lb})",
                     triangle=bad,
                 )
+        # An order 0 among the face and tree orders is a Z factor as well;
+        # CyclicFactorization sorts it to the front with the counted ones.
         in_tree = [others[e] for e in tree if e in others]
-        orders = sorted(face_orders + [m for m in in_tree if m != 1])
-        zeros = orders.count(0)  # |w| = 0 gives Z
-        return len(others) - len(in_tree) + zeros, orders[zeros:]
+        free = [0] * (len(others) - len(in_tree))
+        return CyclicFactorization(tuple(free + face_orders + [m for m in in_tree if m != 1]))
 
     return factors
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from . import complexes, invariants, presentation
 from .complexes import LabelEdge, ValidationReport, WeightedComplex, is_weighted_subcomplex
 from .errors import HypothesesFailed, SchemaError
-from .invariants import CyclicFactorization
 from .presentation import Presentation, Word, _relators, generator_label
 from .record import Record
 
@@ -183,9 +182,8 @@ def verify_van_kampen(spec: CoverSpec) -> VanKampenReport:
         # The factorization the cover predicts: classify's rule applied to
         # the three tree classes, which are L's tree under the hypotheses.
         cover_tree = classes["A0"] + classes["K1_tree_new"] + classes["K2_tree_new"]
-        free, finite = invariants._tree_factors(spec.L)(cover_tree)
         factorizations = (invariants.classify(spec.L),
-                          CyclicFactorization((0,) * free + tuple(finite)))
+                          invariants._tree_factors(spec.L)(cover_tree))
 
     label_classes = {name: tuple(map(spec.L.edge_labels, edges))
                      for name, edges in classes.items()}

@@ -122,6 +122,30 @@ class TestExitCodes:
         assert code == 2
         assert "graphs" in err
 
+    @pytest.mark.parametrize("verb", ["lcs", "hamiltonian", "hamiltonian --json"])
+    def test_closed_stdout_exits_1_silently(self, tmp_path, verb):
+        # Each output is far past a pipe buffer (about 1.3 MB, 0.36 MB and
+        # 0.87 MB), so the write after the reader closes the pipe fails.
+        if verb == "lcs":
+            argv = ["lcs", fig("figure1-w0-2.json"), "--max-n", "3000"]
+        else:
+            n = 7
+            k7 = {"vertices": [f"v{i}" for i in range(n)],
+                  "edges": [{"a": a, "b": b, "w": a * n + b}
+                            for a in range(n) for b in range(a + 1, n)]}
+            path = tmp_path / "k7.json"
+            path.write_text(json.dumps(k7), encoding="utf-8")
+            argv = [*verb.split(), str(path)]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen([sys.executable, "-m", "wfg.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (1, b"")
+
 
 class TestVerbs:
     def test_validate(self, capsys):
