@@ -6,11 +6,9 @@ generated abelian groups in invariant factor form, and a sparse kernel
 that finds them from a relation matrix.  No floating point appears on
 any computation path.
 
-The sparse kernel picks its pivots from a heap with one key per row: the
-least (|value|, Markowitz cost, row, column) over the row's entries.  The
-least row key is the least entry key, so the pivots are those of a heap
-with one key per entry, while a step pushes keys only for the rows whose
-key it changed.
+The sparse kernel picks its pivots from a heap with one key per row,
+built from that row alone: its least |value|, its length, the row and the
+column of that value.  A step pushes keys only for the rows it changed.
 """
 
 from __future__ import annotations
@@ -246,25 +244,22 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
     U and V would only name its generators.  So no transform is kept, and
     a sparse elimination works on the nonzeros: one dict {column: value}
     per row, and the set of rows that use each column.  Each step pivots
-    on the entry of least key (|value|, Markowitz cost (r-1)(c-1) for r
-    nonzeros in its row and c in its column, row, column), so unit pivots
-    come first.  The heap holds one key per row, the least key of its
-    entries, and ``current`` maps each row to its live key; a popped key
-    that is not the live one is stale and skipped.  An entry's key changes
-    only when its row changes or its column gains or loses a user, so
-    after each step only the changed rows are scanned again, and the
-    other users of a column whose count changed compare the key of their
-    entry in it with their row key.  A key is pushed only when it changed.
-    The least row key is the least entry key, so the pivots are exactly
-    those of a heap holding every entry.  Row operations reduce the pivot
-    column modulo the pivot p.  Once the column is clear, a column
-    operation changes the pivot row alone, so the row is reduced modulo p
-    in place; if nothing is left but p, row and column split off as the
-    diagonal entry |p|.  A unit pivot always splits, which is the matrix
-    form of the Tietze move that drops a generator and its relator g^(+-1).
-    Any remainder is smaller than |p|, so the least |entry| strictly falls
-    until the next split.  The 1s are then dropped and the rest recombined
-    into invariant factors by ``AbelianGroup.from_cyclic_orders``.
+    on the row of least key (least |value|, length, row, column of that
+    value), so unit pivots come first and short rows break ties.  A key
+    depends on its row alone, so after each step only the rows it changed
+    get a new key.  ``current`` maps each row to its live key; a popped key
+    that is not the live one is stale and skipped.  Row operations reduce
+    the pivot column with nearest-integer quotients by the pivot p, which
+    leave remainders of at most |p|/2: the entries grow more slowly than
+    with floor quotients (Havas & Majewski, J. Symbolic Comput. 24, 1997).
+    Once the column is clear, a column operation changes the pivot row
+    alone, so the row is reduced the same way in place; if nothing is left
+    but p, row and column split off as the diagonal entry |p|.  A unit
+    pivot always splits, which is the matrix form of the Tietze move that
+    drops a generator and its relator g^(+-1).  Any remainder is smaller
+    than |p|, so the least |entry| strictly falls until the next split.
+    The 1s are then dropped and the rest recombined into invariant factors
+    by ``AbelianGroup.from_cyclic_orders``.
     """
     n = A.cols
     rows = {i: dict(row) for i, row in enumerate(A.sparse_rows) if row}
@@ -275,9 +270,8 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
 
     def key(i):
         row = rows[i]
-        # Within one row the cost (len(row) - 1)(c - 1) orders as c does.
-        size, count, j = min((abs(x), len(users[j]), j) for j, x in row.items())
-        return (size, (len(row) - 1) * (count - 1), i, j)
+        size, j = min((abs(x), j) for j, x in row.items())
+        return (size, len(row), i, j)
 
     current = {i: key(i) for i in rows}
     heap = list(current.values())
@@ -291,12 +285,10 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
         del current[r]
         pivot = rows[r]
         p = pivot[c]
-        columns = list(pivot)
-        counts = [len(users[j]) for j in columns]
         touched = {r}
         for i in users[c] - touched:
             row = rows[i]
-            f = row[c] // p
+            f = (2 * row[c] + p) // (2 * p)  # the integer nearest row[c] / p
             for j, x in pivot.items():
                 y = row.get(j, 0) - f * x
                 if y:
@@ -310,9 +302,9 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
             touched.add(i)
         if len(users[c]) == 1:
             # Column c is clear, so a column operation changes row r alone.
-            for j in columns:
+            for j in list(pivot):
                 if j != c:
-                    pivot[j] %= p
+                    pivot[j] -= (2 * pivot[j] + p) // (2 * p) * p
                     if not pivot[j]:
                         del pivot[j]
                         users[j].discard(r)
@@ -320,23 +312,6 @@ def abelian_group_from_matrix(A: IntegerMatrix) -> AbelianGroup:
                 orders.append(abs(p))
                 del rows[r]
                 users[c].clear()
-        # In an untouched row only the entry in column j changed its key.
-        # A cheaper entry may become the row key; a dearer one matters only
-        # if it was the row key, and then the row is scanned again.
-        for j, count in zip(columns, counts):
-            now = len(users[j])
-            if now == count:
-                continue
-            for i in users[j] - touched:
-                if now > count:
-                    if current[i][3] == j:
-                        touched.add(i)
-                    continue
-                row = rows[i]
-                k = (abs(row[j]), (len(row) - 1) * (now - 1), i, j)
-                if k < current[i]:
-                    current[i] = k
-                    heapq.heappush(heap, k)
         for i in touched:
             if i in rows:
                 k = key(i)
